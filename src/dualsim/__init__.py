@@ -32,6 +32,7 @@ from .duality import (
     Hit,
     MeasurementOutcome,
     Miss,
+    Readout,
     apply_duality_gate,
     apply_per_slit,
     as_slit_weights,

@@ -2,10 +2,11 @@
 
 Subcommands: simulate, search, recycle, decompose, curve.  Every output
 file starts with ``# seed=`` and ``# command=`` comment lines, file bodies
-are written in one shot only after a command succeeds, and identical
-invocations produce byte-identical files.  Failures print a single line
-``error: <Type>: <message>`` on stderr and exit nonzero, removing any
-half-written output.
+are written in one shot only after a command succeeds (to a temporary file
+that is then renamed into place), and identical invocations produce
+byte-identical files.  Failures print a single line
+``error: <Type>: <message>`` on stderr and exit nonzero, leaving no
+partial file and any earlier output untouched.
 
 The CLI is the package's only I/O boundary: library modules never touch
 files.
@@ -13,6 +14,7 @@ files.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -47,11 +49,20 @@ def _comment_header(seed: int, argv: list[str]) -> list[str]:
 
 
 def _write_text(path: str, text: str) -> None:
-    p = Path(path)
+    """Write to a temporary file beside ``path``, then rename it over ``path``.
+
+    Readers see either the old file or the complete new one; a failed write
+    removes the temporary file and leaves ``path`` as it was.
+    """
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8")  # exclusive create; mode as for a plain write
     try:
-        p.write_text(text, encoding="utf-8")
+        with fh:
+            fh.write(text)
+        os.replace(tmp, target)
     except BaseException:
-        p.unlink(missing_ok=True)  # never leave a partial file behind
+        tmp.unlink(missing_ok=True)
         raise
 
 
@@ -60,6 +71,23 @@ def _seed_value(tok: str) -> int:
     if not 0 <= value < 1 << 64:
         raise argparse.ArgumentTypeError(f"seed must be a 64-bit unsigned integer, got {value}")
     return value
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer >= ``low``, rejected before any work starts."""
+    def parse(tok: str) -> int:
+        try:
+            value = int(tok)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {tok!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+_positive = _int_at_least(1)
+_non_negative = _int_at_least(0)
 
 
 def _parse_marked(spec: str) -> frozenset[int]:
@@ -134,21 +162,25 @@ def cmd_recycle(args, argv: list[str]) -> int:
         strategy = Custom(parse_matrix_text(Path(args.recovery_matrix).read_text(encoding="utf-8")))
     circuit = build_dilation(gate)
     max_cycles = args.max_cycles if args.max_cycles is not None else default_max_cycles(gate, state)
-    runs = [run_recycling(state, gate, strategy, max_cycles, rng=trial_rng(args.seed, t),
-                          circuit=circuit)
-            for t in range(args.trials)]
-    hist = Counter(r.cycles_used for r in runs)
+    hist: Counter[int] = Counter()
+    hits = 0
+    total_cycles = 0
+    for t in range(args.trials):
+        run = run_recycling(state, gate, strategy, max_cycles, rng=trial_rng(args.seed, t),
+                            circuit=circuit)
+        hist[run.cycles_used] += 1
+        hits += not run.exhausted
+        total_cycles += run.cycles_used
+    mean_cycles = total_cycles / args.trials
+    try:
+        expectation = _fmt(expected_cycles(gate, state))
+    except InfiniteExpectationError:
+        expectation = "inf"
     lines = _comment_header(args.seed, argv)
     lines.append("cycles,count")
     for cycles in sorted(hist):
         lines.append(f"{cycles},{hist[cycles]}")
     _write_text(args.out, "\n".join(lines) + "\n")
-    hits = sum(1 for r in runs if not r.exhausted)
-    mean_cycles = sum(r.cycles_used for r in runs) / len(runs)
-    try:
-        expectation = _fmt(expected_cycles(gate, state))
-    except InfiniteExpectationError:
-        expectation = "inf"
     print(f"trials={args.trials} hits={hits} exhausted={args.trials - hits}")
     print(f"mean_cycles={_fmt(mean_cycles)}")
     print(f"expected_cycles={expectation}")
@@ -211,11 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("search", help="run repeated hybrid duality searches; write per-trial CSV")
-    sp.add_argument("--n", type=int, required=True, help="database qubits (N = 2**n items)")
+    sp.add_argument("--n", type=_positive, required=True, help="database qubits (N = 2**n items)")
     sp.add_argument("--marked", required=True, help="comma-separated marked basis indices")
-    sp.add_argument("--j", type=int, default=0, help="amplitude-amplification rounds per attempt")
-    sp.add_argument("--trials", type=int, required=True)
-    sp.add_argument("--max-repetitions", type=int, default=None,
+    sp.add_argument("--j", type=_non_negative, default=0,
+                    help="amplitude-amplification rounds per attempt")
+    sp.add_argument("--trials", type=_positive, required=True)
+    sp.add_argument("--max-repetitions", type=_positive, default=None,
                     help="attempt budget per trial (default: auto from the success probability)")
     sp.add_argument("--out", required=True, help="CSV output: trial,repetitions,hit_index")
     common(sp)
@@ -223,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("recycle", help="run recycling loops; write a cycle-count histogram CSV")
     sp.add_argument("--gate", choices=["search", "phase-slit", "custom"], default="search")
-    sp.add_argument("--n", type=int, default=4, help="work qubits for --gate search")
+    sp.add_argument("--n", type=_positive, default=4, help="work qubits for --gate search")
     sp.add_argument("--marked", default=None, help="marked indices for --gate search")
     sp.add_argument("--slit", action="append", default=None,
                     help="matrix file for one slit of a custom gate (repeatable)")
@@ -231,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--init", default="uniform", help="input state: 'uniform' or a basis index")
     sp.add_argument("--recovery", choices=["reset", "exact", "custom"], default="reset")
     sp.add_argument("--recovery-matrix", default=None, help="matrix file for --recovery custom")
-    sp.add_argument("--trials", type=int, required=True)
-    sp.add_argument("--max-cycles", type=int, default=None,
+    sp.add_argument("--trials", type=_positive, required=True)
+    sp.add_argument("--max-cycles", type=_positive, default=None,
                     help="cycle budget per trial (default: auto from the hit probability)")
     sp.add_argument("--out", required=True, help="CSV output: cycles,count")
     common(sp)
@@ -248,9 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_decompose)
 
     sp = sub.add_parser("curve", help="write the repetition-count table as CSV")
-    sp.add_argument("--n", type=int, required=True, help="database qubits (N = 2**n items)")
+    sp.add_argument("--n", type=_positive, required=True, help="database qubits (N = 2**n items)")
     sp.add_argument("--marked-count", type=int, default=1, help="number of marked items M")
-    sp.add_argument("--jmax", type=int, required=True)
+    sp.add_argument("--jmax", type=_non_negative, required=True)
     sp.add_argument("--out", required=True, help="CSV output: j,success_prob,repetitions")
     common(sp)
     sp.set_defaults(func=cmd_curve)

@@ -54,6 +54,15 @@ def as_slit_weights(weights) -> np.ndarray:
     return w
 
 
+def _weighted_sum(coefficients, operators) -> np.ndarray:
+    """sum_i c_i U_i over equally sized square matrices, accumulated in order."""
+    dim = operators[0].shape[0]
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    for c, u in zip(coefficients, operators):
+        out += c * u
+    return out
+
+
 def _frozen_copy(mat: np.ndarray) -> np.ndarray:
     out = mat.copy()
     out.setflags(write=False)
@@ -123,10 +132,7 @@ class DualityGate:
 
     def matrix(self) -> np.ndarray:
         """The assembled (generally non-unitary) matrix sum_i p_i U_i."""
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for p, u in zip(self.weights, self.unitaries):
-            out += p * u
-        return out
+        return _weighted_sum(self.weights, self.unitaries)
 
 
 def divide(state: StateVector, weights) -> BranchState:
@@ -224,11 +230,7 @@ class DilationCircuit:
 
     def effective_operator(self) -> np.ndarray:
         """The operator the aux=0 block applies to the work register."""
-        dim = 1 << self.num_work_qubits
-        out = np.zeros((dim, dim), dtype=np.complex128)
-        for c, u in zip(self.effective_coefficients(), self.slit_unitaries):
-            out += c * u
-        return out
+        return _weighted_sum(self.effective_coefficients(), self.slit_unitaries)
 
 
 def unitary_completion(first_column) -> np.ndarray:
@@ -346,27 +348,57 @@ def conditional_measure(full_state: StateVector, num_aux_qubits: int,
     With probability ||aux=0 block||**2 the result is a Hit: the work state
     becomes the normalized aux=0 block and ``sampled_index`` is drawn from
     its Born distribution.  Otherwise the aux=0 component is removed and
-    the normalized remainder is returned as a Miss.
+    the normalized remainder is returned as a Miss.  A Hit costs two
+    ``rng.random()`` draws, a Miss one.
     """
-    w = _split_registers(full_state, num_aux_qubits)
-    if not is_normalized(full_state):
-        raise ValueError("conditional_measure requires a normalized full state")
-    dim_work = 1 << w
-    amps = full_state.amplitudes
-    block = amps[:dim_work]
-    p_hit = float(np.vdot(block, block).real)
-    if rng.random() < p_hit:
-        scale = math.sqrt(p_hit)
-        if scale < DEGENERATE_BRANCH_TOL:
-            raise DegenerateBranchError("hit branch has vanishing norm; cannot normalize")
-        work = block / scale
-        cum = np.cumsum(np.abs(work) ** 2)
+    return Readout(full_state, num_aux_qubits).measure(rng)
+
+
+class Readout:
+    """Conditional measurement of one full state, reusable across draws.
+
+    ``measure`` is ``conditional_measure``: one ``rng.random()`` against
+    ``p_hit`` picks the branch, and a Hit takes one more for the sampled
+    index.  Each branch (the normalized state and, for a Hit, the Born
+    cumulative sum) is built on first use and kept, so a loop that keeps
+    measuring the same state pays one draw per measurement.  A degenerate
+    branch raises ``DegenerateBranchError`` every time it is drawn.
+    """
+
+    __slots__ = ("p_hit", "_full", "_num_work", "_block", "_hit", "_miss")
+
+    def __init__(self, full_state: StateVector, num_aux_qubits: int):
+        w = _split_registers(full_state, num_aux_qubits)
+        if not is_normalized(full_state):
+            raise ValueError("conditional_measure requires a normalized full state")
+        self._full = full_state
+        self._num_work = w
+        self._block = block = full_state.amplitudes[: 1 << w]
+        self.p_hit = float(np.vdot(block, block).real)
+        self._hit: tuple[StateVector, np.ndarray] | None = None
+        self._miss: Miss | None = None
+
+    def measure(self, rng) -> MeasurementOutcome:
+        return self._sample_hit(rng) if rng.random() < self.p_hit else self._take_miss()
+
+    def _sample_hit(self, rng) -> Hit:
+        if self._hit is None:
+            scale = math.sqrt(self.p_hit)
+            if scale < DEGENERATE_BRANCH_TOL:
+                raise DegenerateBranchError("hit branch has vanishing norm; cannot normalize")
+            work = self._block / scale
+            self._hit = (_fresh_state(self._num_work, work), np.cumsum(np.abs(work) ** 2))
+        post_state, cum = self._hit
         idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-        return Hit(_fresh_state(w, work), min(idx, dim_work - 1))
-    rest = amps.copy()
-    rest[:dim_work] = 0.0
-    scale = math.sqrt(np.vdot(rest, rest).real)
-    if scale < DEGENERATE_BRANCH_TOL:
-        raise DegenerateBranchError("miss branch has vanishing norm; cannot normalize")
-    rest /= scale
-    return Miss(_fresh_state(full_state.num_qubits, rest))
+        return Hit(post_state, min(idx, cum.size - 1))
+
+    def _take_miss(self) -> Miss:
+        if self._miss is None:
+            rest = self._full.amplitudes.copy()
+            rest[: self._block.size] = 0.0
+            scale = math.sqrt(np.vdot(rest, rest).real)
+            if scale < DEGENERATE_BRANCH_TOL:
+                raise DegenerateBranchError("miss branch has vanishing norm; cannot normalize")
+            rest /= scale
+            self._miss = Miss(_fresh_state(self._full.num_qubits, rest))
+        return self._miss

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .duality import DualityGate, as_slit_weights
+from .duality import DualityGate, _weighted_sum, as_slit_weights
 from .statevec import DEFAULT_UNITARY_TOL, is_unitary, validate_operator
 
 #: Normality commutator test threshold (scaled by max(1, ||A||_2)).
@@ -61,11 +61,7 @@ class LcuDecomposition:
         object.__setattr__(self, "unitaries", tuple(us))
 
     def reconstruct(self) -> np.ndarray:
-        dim = self.unitaries[0].shape[0]
-        out = np.zeros((dim, dim), dtype=np.complex128)
-        for p, u in zip(self.weights, self.unitaries):
-            out += p * u
-        return self.alpha * out
+        return self.alpha * _weighted_sum(self.weights, self.unitaries)
 
 
 def check_normal(mat, tol: float = DEFAULT_NORMAL_TOL) -> bool:

@@ -14,15 +14,17 @@ state exists to recover.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .duality import (
     DEGENERATE_BRANCH_TOL,
+    DilationCircuit,
     DualityGate,
     Hit,
     MeasurementOutcome,
+    Readout,
     apply_duality_gate,
     build_dilation,
     conditional_measure,
@@ -65,13 +67,31 @@ class ExactUnitary:
 
 @dataclass(frozen=True)
 class Reset:
-    """Re-prepare the stored input after every miss (always available)."""
+    """Re-prepare the stored input after every miss (always available).
+
+    Every cycle that starts from the stored input measures the same
+    dilated state, so its ``Readout`` is built once per circuit and kept
+    here: share one Reset across the trials of an experiment and the
+    dilation runs once for all of them.
+    """
 
     input: StateVector
+    _readout: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not is_normalized(self.input):
             raise ValueError("Reset input must be normalized")
+
+    def readout(self, circuit: DilationCircuit) -> Readout:
+        """Readout of ``circuit`` run on the stored input, cached for the last circuit.
+
+        The cache holds the circuit itself, so its identity stays a valid key.
+        """
+        cached_circuit, readout = self._readout
+        if cached_circuit is not circuit:
+            readout = Readout(run_dilation(self.input, circuit), circuit.num_aux_qubits)
+            object.__setattr__(self, "_readout", (circuit, readout))
+        return readout
 
 
 @dataclass(frozen=True)
@@ -145,6 +165,11 @@ def run_recycling(input_state: StateVector, gate: DualityGate,
     strategy produces the next work state: unitary strategies act on the
     miss work state, Reset swaps in its stored input.  ``circuit`` may carry
     a prebuilt dilation of ``gate`` to amortize construction over many runs.
+
+    Under Reset every cycle from the stored input measures the same state,
+    so those cycles reuse ``strategy.readout(circuit)`` and cost one
+    ``rng.random()`` each (two on a Hit): the same draws, in the same
+    order, as running the dilation and ``conditional_measure`` every cycle.
     """
     if not is_normalized(input_state):
         raise ValueError("run_recycling requires a normalized input state")
@@ -170,21 +195,33 @@ def run_recycling(input_state: StateVector, gate: DualityGate,
         raise ValueError(f"max_cycles must be >= 1, got {max_cycles}")
 
     dim_work = gate.dim
+    reset = isinstance(strategy, Reset)
     state = input_state
+    readout = strategy.readout(circuit) if reset and _same_state(state, strategy.input) else None
     probs: list[float] = []
     outcome: MeasurementOutcome
     for cycle in range(1, max_cycles + 1):
-        full = run_dilation(state, circuit)
-        probs.append(hit_probability(full, circuit.num_aux_qubits))
-        outcome = conditional_measure(full, circuit.num_aux_qubits, rng)
+        if readout is not None:
+            probs.append(readout.p_hit)
+            outcome = readout.measure(rng)
+        else:
+            full = run_dilation(state, circuit)
+            probs.append(hit_probability(full, circuit.num_aux_qubits))
+            outcome = conditional_measure(full, circuit.num_aux_qubits, rng)
         if isinstance(outcome, Hit):
             return RecyclingRun(outcome, cycle, tuple(probs))
-        if isinstance(strategy, Reset):
-            state = strategy.input
+        if reset:
+            readout = strategy.readout(circuit)
         else:
             miss_work = outcome.post_state.amplitudes[dim_work:]
             state = StateVector(gate.num_qubits, strategy.recovery @ miss_work)
     return RecyclingRun(outcome, max_cycles, tuple(probs))
+
+
+def _same_state(a: StateVector, b: StateVector) -> bool:
+    """Bit-for-bit equal amplitudes (so -0.0 and 0.0 differ)."""
+    return a is b or (a.num_qubits == b.num_qubits
+                      and a.amplitudes.tobytes() == b.amplitudes.tobytes())
 
 
 def expected_cycles(gate: DualityGate, input_state: StateVector) -> float:

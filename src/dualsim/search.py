@@ -19,13 +19,13 @@ import numpy as np
 from .duality import (
     DilationCircuit,
     DualityGate,
-    Hit,
     MeasurementOutcome,
     build_dilation,
     conditional_measure,
     run_dilation,
 )
 from .rand import trial_rng
+from .recycling import Reset, run_recycling
 from .statevec import StateVector, _fresh_state, uniform_state
 
 #: Hard ceiling on any repetition budget.
@@ -112,8 +112,13 @@ def search_gate(problem: SearchProblem) -> DualityGate:
 
 
 @lru_cache(maxsize=64)
+def _search_gate(problem: SearchProblem) -> DualityGate:
+    return search_gate(problem)
+
+
+@lru_cache(maxsize=64)
 def _search_dilation(problem: SearchProblem) -> DilationCircuit:
-    return build_dilation(search_gate(problem))
+    return build_dilation(_search_gate(problem))
 
 
 def grover_iterate(state: StateVector, problem: SearchProblem, iterations: int) -> StateVector:
@@ -166,28 +171,46 @@ def default_max_repetitions(params: HybridParams) -> int:
     return max(1, min(MAX_REPETITIONS_CAP, math.ceil(64.0 / p)))
 
 
+def _prepared_state(problem: SearchProblem, j: int) -> StateVector:
+    """The uniform state after j amplification rounds: every attempt's input."""
+    prepared = uniform_state(problem.num_qubits)
+    return grover_iterate(prepared, problem, j) if j else prepared
+
+
+def _search_trial(problem: SearchProblem, strategy: Reset, budget: int, success_prob: float,
+                  rng) -> TrialResult:
+    """One repeat-until-hit trial: the recycling loop on the search gate, with
+    Reset to the prepared state (fresh preparation) after every miss."""
+    run = run_recycling(strategy.input, _search_gate(problem), strategy, budget, rng=rng,
+                        circuit=_search_dilation(problem))
+    hit_index = None if run.exhausted else run.outcome.sampled_index
+    return TrialResult(run.cycles_used, hit_index, success_prob)
+
+
+def _checked_budget(params: HybridParams, max_repetitions: int | None) -> int:
+    budget = default_max_repetitions(params) if max_repetitions is None else max_repetitions
+    if budget < 1:
+        raise ValueError(f"max_repetitions must be >= 1, got {budget}")
+    return budget
+
+
 def hybrid_search(problem: SearchProblem, j: int, max_repetitions: int | None = None, *,
                   rng: np.random.Generator) -> TrialResult:
     """Repeat (fresh uniform state -> j amplification rounds -> duality query)
     until a hit.
 
     Each attempt re-prepares from scratch; since preparation is
-    deterministic the prepared state is computed once.  Raises Exhausted
-    when the budget runs out.
+    deterministic the prepared state is computed once and every attempt is
+    a recycling cycle under Reset.  Raises Exhausted when the budget runs
+    out.
     """
     params = HybridParams.for_problem(problem, j)
-    if max_repetitions is None:
-        max_repetitions = default_max_repetitions(params)
-    if max_repetitions < 1:
-        raise ValueError(f"max_repetitions must be >= 1, got {max_repetitions}")
-    prepared = uniform_state(problem.num_qubits)
-    if j:
-        prepared = grover_iterate(prepared, problem, j)
-    for attempt in range(1, max_repetitions + 1):
-        outcome = duality_search_step(prepared, problem, rng)
-        if isinstance(outcome, Hit):
-            return TrialResult(attempt, outcome.sampled_index, params.success_prob)
-    raise Exhausted(f"no hit within {max_repetitions} repetitions")
+    budget = _checked_budget(params, max_repetitions)
+    res = _search_trial(problem, Reset(_prepared_state(problem, j)), budget,
+                        params.success_prob, rng)
+    if res.hit_index is None:
+        raise Exhausted(f"no hit within {budget} repetitions")
+    return res
 
 
 @dataclass(frozen=True)
@@ -214,23 +237,22 @@ class SearchStats:
 def run_search_experiment(problem: SearchProblem, j: int, trials: int, seed: int,
                           max_repetitions: int | None = None) -> SearchStats:
     """``trials`` independent hybrid searches on rng streams derived from
-    (seed, trial index); aggregation is order-independent."""
+    (seed, trial index); aggregation is order-independent.
+
+    All trials share one prepared state and one Reset, so the dilation and
+    its readout are computed once per experiment.
+    """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     params = HybridParams.for_problem(problem, j)
-    budget = max_repetitions if max_repetitions is not None else default_max_repetitions(params)
-    results: list[TrialResult] = []
-    hits = 0
-    total = 0
-    for t in range(trials):
-        try:
-            res = hybrid_search(problem, j, budget, rng=trial_rng(seed, t))
-            hits += 1
-        except Exhausted:
-            res = TrialResult(budget, None, params.success_prob)
-        total += res.repetitions
-        results.append(res)
-    return SearchStats(trials, hits, total, hits / trials, params.success_prob, tuple(results))
+    budget = _checked_budget(params, max_repetitions)
+    strategy = Reset(_prepared_state(problem, j))
+    results = tuple(_search_trial(problem, strategy, budget, params.success_prob,
+                                  trial_rng(seed, t))
+                    for t in range(trials))
+    hits = sum(1 for r in results if r.hit_index is not None)
+    total = sum(r.repetitions for r in results)
+    return SearchStats(trials, hits, total, hits / trials, params.success_prob, results)
 
 
 def repetition_curve(num_items: int, num_marked: int, j_max: int) -> list[tuple[int, float, float]]:

@@ -19,6 +19,11 @@ class FixedRandom:
         self._i += 1
         return v
 
+    @property
+    def draws(self) -> int:
+        """Number of values handed out so far."""
+        return self._i
+
 
 def embed_matrix(op, targets, num_qubits):
     """Brute-force embedding of op onto the target qubits, by bit arithmetic.

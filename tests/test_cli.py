@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dualsim import format_matrix_text, is_unitary, parse_matrix_text
-from dualsim.cli import main
+from dualsim import cli, format_matrix_text, is_unitary, parse_matrix_text
+from dualsim.cli import _write_text, main
 
 NILPOTENT = np.array([[0, 1], [0, 0]], dtype=complex)
 
@@ -222,3 +222,53 @@ def test_commands_are_byte_identical_across_runs(tmp_path, argv, capsys):
         outputs.append([ln for ln in text.splitlines() if not ln.startswith("# command=")])
     capsys.readouterr()
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["recycle", "--gate", "search", "--marked", "3", "--trials", "0"],
+    ["recycle", "--gate", "search", "--n", "0", "--marked", "0", "--trials", "5"],
+    ["recycle", "--gate", "phase-slit", "--init", "0", "--trials", "5", "--max-cycles", "0"],
+    ["search", "--n", "2", "--marked", "1", "--trials", "0"],
+    ["search", "--n", "0", "--marked", "0", "--trials", "5"],
+    ["search", "--n", "2", "--marked", "1", "--j", "-1", "--trials", "5"],
+    ["search", "--n", "2", "--marked", "1", "--trials", "5", "--max-repetitions", "0"],
+    ["search", "--n", "2", "--marked", "1", "--trials", "x"],
+    ["curve", "--n", "0", "--jmax", "3"],
+    ["curve", "--n", "4", "--jmax", "-1"],
+])
+def test_out_of_range_counts_are_rejected_before_any_output(tmp_path, argv, capsys):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "error: argument --" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_keeps_the_old_file_and_no_temporary(tmp_path):
+    out = tmp_path / "kept.csv"
+    out.write_text("old\n")
+    with pytest.raises(UnicodeEncodeError):
+        _write_text(str(out), "new\ud800\n")  # a lone surrogate cannot be encoded
+    assert out.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_failed_rename_keeps_the_old_file_and_no_temporary(tmp_path, monkeypatch):
+    out = tmp_path / "kept.csv"
+    out.write_text("old\n")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    with pytest.raises(OSError):
+        _write_text(str(out), "new\n")
+    assert out.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_write_replaces_an_existing_file(tmp_path):
+    out = tmp_path / "o.csv"
+    out.write_text("old\n")
+    _write_text(str(out), "new\n")
+    assert out.read_text() == "new\n"
+    assert list(tmp_path.iterdir()) == [out]
