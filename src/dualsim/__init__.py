@@ -61,6 +61,7 @@ from .recycling import (
     RecoveryStrategy,
     RecyclingRun,
     Reset,
+    cycle_budget,
     default_max_cycles,
     exact_recovery,
     expected_cycles,

@@ -32,6 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .duality import (
+    WEIGHT_SUM_TOL,
     DualityGate,
     MeasurementOutcome,
     apply_duality_gate,
@@ -39,7 +40,8 @@ from .duality import (
     conditional_measure,
     run_dilation,
 )
-from .statevec import StateVector, apply_operator, basis_state, controlled_apply, uniform_state
+from .statevec import (StateVector, apply_operator, basis_state, controlled_apply,
+                       invert_about_mean, oracle_phases, uniform_state)
 
 #: Explicit slit matrices above this register size are refused.
 MAX_DUALITY_WORK_QUBITS = 10
@@ -206,7 +208,7 @@ def parse_circuit(text: str) -> CircuitSpec:
             w = tuple(_float_tok(t, lineno, "weight") for t in toks[1:])
             if any(x < 0 for x in w):
                 _err(lineno, "weights must be non-negative")
-            if abs(sum(w) - 1.0) > 1e-12:
+            if abs(sum(w) - 1.0) > WEIGHT_SUM_TOL:
                 _err(lineno, f"weight-sum violation: weights sum to {sum(w)!r}, expected 1")
             block_weights = w
             continue
@@ -300,12 +302,9 @@ def _apply_gate(state: StateVector, instr: GateInstr) -> StateVector:
         c, t = instr.args
         return controlled_apply(state, _SINGLE_QUBIT_GATES["x"], [t], control=c, control_value=1)
     if name == "oracle":
-        diag = -np.ones(state.dim)
-        diag[list(instr.args)] = 1.0
-        return StateVector(state.num_qubits, diag * state.amplitudes)
+        return StateVector(state.num_qubits, oracle_phases(state.dim, instr.args) * state.amplitudes)
     if name == "diffusion":
-        amps = state.amplitudes
-        return StateVector(state.num_qubits, 2.0 * amps.mean() - amps)
+        return StateVector(state.num_qubits, invert_about_mean(state.amplitudes))
     raise ValueError(f"unknown gate {name!r}")
 
 

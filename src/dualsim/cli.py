@@ -23,7 +23,7 @@ import numpy as np
 
 from .circuit import parse_circuit, run_circuit
 from .duality import DualityGate, Hit, build_dilation
-from .opalg import lcu_decompose, normal_decompose
+from .opalg import DEFAULT_NORMAL_TOL, lcu_decompose, normal_decompose
 from .rand import trial_rng
 from .recycling import (
     Custom,
@@ -275,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--in", dest="matrix_in", required=True, help="matrix text file")
     sp.add_argument("--normal", action="store_true",
                     help="two-term commuting decomposition (input must be normal)")
-    sp.add_argument("--tol", type=float, default=1e-10, help="normality tolerance for --normal")
+    sp.add_argument("--tol", type=float, default=DEFAULT_NORMAL_TOL,
+                    help="normality tolerance for --normal")
     sp.add_argument("--out", required=True, help="decomposition report file")
     common(sp)
     sp.set_defaults(func=cmd_decompose)

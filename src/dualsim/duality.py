@@ -184,7 +184,9 @@ def apply_duality_gate(state: StateVector, gate: DualityGate) -> StateVector:
 
 @dataclass(frozen=True)
 class DilationCircuit:
-    """Unitary circuit on work + auxiliary qubits embedding a duality gate.
+    """Unitary circuit on work + auxiliary qubits embedding a duality gate:
+    prepare, then slit i of ``gate`` controlled on aux value i (values past
+    the slits are identity padding), then combine.
 
     The auxiliary register sits above the work register, so the full basis
     index is aux_value * 2**num_work_qubits + work_index and each slit block
@@ -192,45 +194,48 @@ class DilationCircuit:
     applies sum_i c_i U_i with c_i = combine[0, i] * prepare[i, 0].
     """
 
-    num_work_qubits: int
-    num_aux_qubits: int
+    gate: DualityGate
     prepare: np.ndarray
     combine: np.ndarray
-    slit_unitaries: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        dim_aux = 1 << self.num_aux_qubits
-        dim_work = 1 << self.num_work_qubits
         prepare = validate_operator(self.prepare)
         comb = validate_operator(self.combine)
+        dim_aux = prepare.shape[0]
+        if dim_aux & (dim_aux - 1) or dim_aux < max(2, self.gate.num_slits):
+            raise ValueError(f"auxiliary dim {dim_aux} is not a power of 2 holding "
+                             f"{self.gate.num_slits} slits")
+        if comb.shape[0] != dim_aux:
+            raise ValueError(f"combine operator has dim {comb.shape[0]}, prepare has {dim_aux}")
         for name, u in (("prepare", prepare), ("combine", comb)):
-            if u.shape[0] != dim_aux:
-                raise ValueError(f"{name} operator must act on the {self.num_aux_qubits}-qubit auxiliary register")
             if not is_unitary(u, DEFAULT_UNITARY_TOL):
                 raise ValueError(f"{name} operator is not unitary within {DEFAULT_UNITARY_TOL}")
-        us = tuple(validate_operator(u) for u in self.slit_unitaries)
-        if len(us) != dim_aux:
-            raise ValueError(f"need {dim_aux} slit unitaries (identity padding), got {len(us)}")
-        for i, u in enumerate(us):
-            if u.shape[0] != dim_work:
-                raise ValueError(f"slit unitary {i} has dim {u.shape[0]}, expected {dim_work}")
-            if not is_unitary(u, DEFAULT_UNITARY_TOL):
-                raise ValueError(f"slit unitary {i} is not unitary within {DEFAULT_UNITARY_TOL}")
         object.__setattr__(self, "prepare", _frozen_copy(prepare))
         object.__setattr__(self, "combine", _frozen_copy(comb))
-        object.__setattr__(self, "slit_unitaries", tuple(_frozen_copy(u) for u in us))
+
+    @property
+    def num_work_qubits(self) -> int:
+        return self.gate.num_qubits
+
+    @property
+    def num_aux_qubits(self) -> int:
+        return self.prepare.shape[0].bit_length() - 1
 
     @property
     def total_qubits(self) -> int:
         return self.num_work_qubits + self.num_aux_qubits
 
     def effective_coefficients(self) -> np.ndarray:
-        """Coefficient of each slit unitary in the aux=0 block."""
-        return np.asarray(self.combine)[0, :] * np.asarray(self.prepare)[:, 0]
+        """Coefficient of each auxiliary value's unitary in the aux=0 block."""
+        return self.combine[0, :] * self.prepare[:, 0]
 
     def effective_operator(self) -> np.ndarray:
         """The operator the aux=0 block applies to the work register."""
-        return _weighted_sum(self.effective_coefficients(), self.slit_unitaries)
+        coeffs = self.effective_coefficients()
+        m = self.gate.num_slits
+        out = _weighted_sum(coeffs[:m], self.gate.unitaries)
+        out.flat[:: out.shape[0] + 1] += coeffs[m:].sum()  # padding slots are the identity
+        return out
 
 
 def unitary_completion(first_column) -> np.ndarray:
@@ -242,7 +247,7 @@ def unitary_completion(first_column) -> np.ndarray:
     col = np.asarray(first_column, dtype=float)
     if col.ndim != 1 or col.size < 1:
         raise ValueError("first column must be a 1-D vector")
-    if abs(float(np.linalg.norm(col)) - 1.0) > 1e-12:
+    if abs(float(np.linalg.norm(col)) - 1.0) > WEIGHT_SUM_TOL:
         raise ValueError("first column must be a unit vector")
     u = -col.copy()
     u[0] += 1.0
@@ -257,21 +262,18 @@ def build_dilation(gate: DualityGate, combine_unitary=None) -> DilationCircuit:
 
     The default combine is prepare†, which makes the aux=0 coefficients
     exactly the gate weights; for symmetric 2-slit weights both stages are
-    the Hadamard.  Slit count is padded to a whole auxiliary register with
-    identity slits of zero effective weight.  Passing ``combine_unitary``
-    (asymmetric or phased slit readout) changes the effective coefficients
-    to combine[0, i] * prepare[i, 0], reported by the circuit object.
+    the Hadamard.  The auxiliary register is the smallest whole register
+    holding the slits; the padding slots (identity) get zero effective
+    weight.  Passing ``combine_unitary`` (asymmetric or phased slit readout)
+    changes the effective coefficients to combine[0, i] * prepare[i, 0],
+    reported by the circuit object.
     """
     m = gate.num_slits
-    num_aux = max(1, (m - 1).bit_length())
-    dim_aux = 1 << num_aux
-    col = np.zeros(dim_aux)
+    col = np.zeros(1 << max(1, (m - 1).bit_length()))
     col[:m] = np.sqrt(gate.weights)
     prepare = unitary_completion(col)
-    comb = prepare.conj().T if combine_unitary is None else validate_operator(combine_unitary)
-    eye = np.eye(gate.dim, dtype=np.complex128)
-    slits = tuple(gate.unitaries) + (eye,) * (dim_aux - m)
-    return DilationCircuit(gate.num_qubits, num_aux, prepare, comb, slits)
+    comb = prepare.conj().T if combine_unitary is None else combine_unitary
+    return DilationCircuit(gate, prepare, comb)
 
 
 def run_dilation(work_state: StateVector, circuit: DilationCircuit) -> StateVector:
@@ -285,15 +287,12 @@ def run_dilation(work_state: StateVector, circuit: DilationCircuit) -> StateVect
             f"work state has {work_state.num_qubits} qubit(s), circuit expects {circuit.num_work_qubits}")
     if not is_normalized(work_state):
         raise ValueError("run_dilation requires a normalized work state")
-    dim_work = 1 << circuit.num_work_qubits
-    dim_aux = 1 << circuit.num_aux_qubits
-    blocks = np.zeros((dim_aux, dim_work), dtype=np.complex128)
+    blocks = np.zeros((circuit.prepare.shape[0], work_state.dim), dtype=np.complex128)
     blocks[0] = work_state.amplitudes
     blocks = circuit.prepare @ blocks
-    routed = np.empty_like(blocks)
-    for i, u in enumerate(circuit.slit_unitaries):
-        routed[i] = u @ blocks[i]
-    blocks = circuit.combine @ routed
+    for i, u in enumerate(circuit.gate.unitaries):
+        blocks[i] = u @ blocks[i]  # the padding blocks pass through: identity slots
+    blocks = circuit.combine @ blocks
     return _fresh_state(circuit.total_qubits, np.ascontiguousarray(blocks).reshape(-1))
 
 

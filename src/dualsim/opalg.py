@@ -20,8 +20,6 @@ from .statevec import DEFAULT_UNITARY_TOL, is_unitary, validate_operator
 
 #: Normality commutator test threshold (scaled by max(1, ||A||_2)).
 DEFAULT_NORMAL_TOL = 1e-10
-#: Decompositions must reconstruct their source within this (max entry).
-RECONSTRUCTION_TOL = 1e-9
 
 
 class NotNormalError(ValueError):

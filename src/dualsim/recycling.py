@@ -27,8 +27,6 @@ from .duality import (
     Readout,
     apply_duality_gate,
     build_dilation,
-    conditional_measure,
-    hit_probability,
     run_dilation,
 )
 from .statevec import (
@@ -146,12 +144,17 @@ def exact_recovery(gate: DualityGate, tol: float = DEFAULT_UNITARY_TOL) -> np.nd
     return m.conj().T / math.sqrt(c)
 
 
-def default_max_cycles(gate: DualityGate, state: StateVector) -> int:
-    """Budget heuristic: ceil(64 / P0) for the given input, capped at 10**6."""
-    p_hit = float(np.linalg.norm(apply_duality_gate(state, gate).amplitudes) ** 2)
+def cycle_budget(p_hit: float) -> int:
+    """Budget heuristic for a loop that hits with probability ``p_hit`` per
+    attempt: ceil(64 / p_hit), capped at 10**6 (the cap when p_hit <= 0)."""
     if p_hit <= 0.0:
         return MAX_CYCLES_CAP
-    return max(1, min(MAX_CYCLES_CAP, math.ceil(64.0 / p_hit)))
+    return min(MAX_CYCLES_CAP, math.ceil(64.0 / p_hit))
+
+
+def default_max_cycles(gate: DualityGate, state: StateVector) -> int:
+    """``cycle_budget`` of P0 = ||sum_i p_i U_i state||**2."""
+    return cycle_budget(float(np.linalg.norm(apply_duality_gate(state, gate).amplitudes) ** 2))
 
 
 def run_recycling(input_state: StateVector, gate: DualityGate,
@@ -164,7 +167,8 @@ def run_recycling(input_state: StateVector, gate: DualityGate,
     auxiliary flip is pure bookkeeping in simulation).  After a miss the
     strategy produces the next work state: unitary strategies act on the
     miss work state, Reset swaps in its stored input.  ``circuit`` may carry
-    a prebuilt dilation of ``gate`` to amortize construction over many runs.
+    a prebuilt dilation of ``gate`` (``circuit.gate is gate``) to amortize
+    construction over many runs.
 
     Under Reset every cycle from the stored input measures the same state,
     so those cycles reuse ``strategy.readout(circuit)`` and cost one
@@ -177,8 +181,8 @@ def run_recycling(input_state: StateVector, gate: DualityGate,
         raise ValueError(f"input dim {input_state.dim} does not match gate dim {gate.dim}")
     if circuit is None:
         circuit = build_dilation(gate)
-    elif circuit.num_work_qubits != gate.num_qubits:
-        raise ValueError("prebuilt circuit does not match the gate's register size")
+    elif circuit.gate is not gate:
+        raise ValueError("prebuilt circuit is the dilation of a different gate")
     if isinstance(strategy, (ExactUnitary, Custom)):
         if circuit.num_aux_qubits != 1:
             raise ValueError("unitary recovery needs a single-auxiliary (2-slit) gate; use Reset")
@@ -201,13 +205,10 @@ def run_recycling(input_state: StateVector, gate: DualityGate,
     probs: list[float] = []
     outcome: MeasurementOutcome
     for cycle in range(1, max_cycles + 1):
-        if readout is not None:
-            probs.append(readout.p_hit)
-            outcome = readout.measure(rng)
-        else:
-            full = run_dilation(state, circuit)
-            probs.append(hit_probability(full, circuit.num_aux_qubits))
-            outcome = conditional_measure(full, circuit.num_aux_qubits, rng)
+        if readout is None:
+            readout = Readout(run_dilation(state, circuit), circuit.num_aux_qubits)
+        probs.append(readout.p_hit)
+        outcome = readout.measure(rng)
         if isinstance(outcome, Hit):
             return RecyclingRun(outcome, cycle, tuple(probs))
         if reset:
@@ -215,6 +216,7 @@ def run_recycling(input_state: StateVector, gate: DualityGate,
         else:
             miss_work = outcome.post_state.amplitudes[dim_work:]
             state = StateVector(gate.num_qubits, strategy.recovery @ miss_work)
+            readout = None
     return RecyclingRun(outcome, max_cycles, tuple(probs))
 
 

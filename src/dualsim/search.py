@@ -25,11 +25,8 @@ from .duality import (
     run_dilation,
 )
 from .rand import trial_rng
-from .recycling import Reset, run_recycling
-from .statevec import StateVector, _fresh_state, uniform_state
-
-#: Hard ceiling on any repetition budget.
-MAX_REPETITIONS_CAP = 1_000_000
+from .recycling import Reset, cycle_budget, run_recycling
+from .statevec import StateVector, _fresh_state, invert_about_mean, oracle_phases, uniform_state
 
 
 class Exhausted(RuntimeError):
@@ -91,9 +88,7 @@ class HybridParams:
 
 def oracle_unitary(problem: SearchProblem) -> np.ndarray:
     """Diagonal with +1 on marked indices and -1 elsewhere."""
-    diag = -np.ones(problem.size, dtype=np.complex128)
-    diag[sorted(problem.marked)] = 1.0
-    return np.diag(diag)
+    return np.diag(oracle_phases(problem.size, problem.marked).astype(np.complex128))
 
 
 def grover_oracle(problem: SearchProblem) -> np.ndarray:
@@ -112,13 +107,9 @@ def search_gate(problem: SearchProblem) -> DualityGate:
 
 
 @lru_cache(maxsize=64)
-def _search_gate(problem: SearchProblem) -> DualityGate:
-    return search_gate(problem)
-
-
-@lru_cache(maxsize=64)
 def _search_dilation(problem: SearchProblem) -> DilationCircuit:
-    return build_dilation(_search_gate(problem))
+    """The search gate's dilation, built once per problem; ``.gate`` is the gate."""
+    return build_dilation(search_gate(problem))
 
 
 def grover_iterate(state: StateVector, problem: SearchProblem, iterations: int) -> StateVector:
@@ -137,7 +128,7 @@ def grover_iterate(state: StateVector, problem: SearchProblem, iterations: int) 
     amps = state.amplitudes.copy()
     for _ in range(iterations):
         amps[marked] = -amps[marked]
-        amps = 2.0 * amps.mean() - amps
+        amps = invert_about_mean(amps)
     return _fresh_state(state.num_qubits, amps)
 
 
@@ -163,14 +154,6 @@ class TrialResult:
     analytic_success_prob: float
 
 
-def default_max_repetitions(params: HybridParams) -> int:
-    """Budget heuristic: ceil(64 / success probability), capped at 10**6."""
-    p = params.success_prob
-    if p <= 0.0:
-        return MAX_REPETITIONS_CAP
-    return max(1, min(MAX_REPETITIONS_CAP, math.ceil(64.0 / p)))
-
-
 def _prepared_state(problem: SearchProblem, j: int) -> StateVector:
     """The uniform state after j amplification rounds: every attempt's input."""
     prepared = uniform_state(problem.num_qubits)
@@ -181,17 +164,10 @@ def _search_trial(problem: SearchProblem, strategy: Reset, budget: int, success_
                   rng) -> TrialResult:
     """One repeat-until-hit trial: the recycling loop on the search gate, with
     Reset to the prepared state (fresh preparation) after every miss."""
-    run = run_recycling(strategy.input, _search_gate(problem), strategy, budget, rng=rng,
-                        circuit=_search_dilation(problem))
+    circuit = _search_dilation(problem)
+    run = run_recycling(strategy.input, circuit.gate, strategy, budget, rng=rng, circuit=circuit)
     hit_index = None if run.exhausted else run.outcome.sampled_index
     return TrialResult(run.cycles_used, hit_index, success_prob)
-
-
-def _checked_budget(params: HybridParams, max_repetitions: int | None) -> int:
-    budget = default_max_repetitions(params) if max_repetitions is None else max_repetitions
-    if budget < 1:
-        raise ValueError(f"max_repetitions must be >= 1, got {budget}")
-    return budget
 
 
 def hybrid_search(problem: SearchProblem, j: int, max_repetitions: int | None = None, *,
@@ -205,7 +181,7 @@ def hybrid_search(problem: SearchProblem, j: int, max_repetitions: int | None = 
     out.
     """
     params = HybridParams.for_problem(problem, j)
-    budget = _checked_budget(params, max_repetitions)
+    budget = cycle_budget(params.success_prob) if max_repetitions is None else max_repetitions
     res = _search_trial(problem, Reset(_prepared_state(problem, j)), budget,
                         params.success_prob, rng)
     if res.hit_index is None:
@@ -245,7 +221,7 @@ def run_search_experiment(problem: SearchProblem, j: int, trials: int, seed: int
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     params = HybridParams.for_problem(problem, j)
-    budget = _checked_budget(params, max_repetitions)
+    budget = cycle_budget(params.success_prob) if max_repetitions is None else max_repetitions
     strategy = Reset(_prepared_state(problem, j))
     results = tuple(_search_trial(problem, strategy, budget, params.success_prob,
                                   trial_rng(seed, t))

@@ -122,6 +122,18 @@ def is_unitary(op, tol: float = DEFAULT_UNITARY_TOL) -> bool:
     return float(np.abs(gram).max()) <= tol
 
 
+def oracle_phases(dim: int, marked) -> np.ndarray:
+    """Real search-oracle diagonal: +1 on the ``marked`` basis indices, -1 elsewhere."""
+    diag = -np.ones(dim)
+    diag[list(marked)] = 1.0
+    return diag
+
+
+def invert_about_mean(amps: np.ndarray) -> np.ndarray:
+    """Diffusion 2|s><s| - I on raw amplitudes: 2 * mean - amps."""
+    return 2.0 * amps.mean() - amps
+
+
 def _check_targets(num_qubits: int, targets) -> list[int]:
     tgts = [operator.index(t) for t in targets]
     if len(set(tgts)) != len(tgts):

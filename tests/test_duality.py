@@ -1,12 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import FixedRandom
 from dualsim import (
     BranchState,
     DegenerateBranchError,
+    DilationCircuit,
     DualityGate,
     Hit,
     Miss,
@@ -21,6 +24,7 @@ from dualsim import (
     conditional_measure,
     divide,
     hit_probability,
+    is_unitary,
     norm,
     random_state,
     random_unitary,
@@ -200,15 +204,77 @@ def test_build_dilation_asymmetric_column():
     assert np.abs(w.conj().T @ w - np.eye(2)).max() < 1e-12
 
 
+def brute_force_dilation(circ, psi):
+    """kron(combine, I) . blockdiag(U_0..U_{m-1}, I..I) . kron(prepare, I) on |0>|psi>."""
+    eye = np.eye(psi.dim)
+    dim_aux = circ.prepare.shape[0]
+    slits = list(circ.gate.unitaries) + [eye] * (dim_aux - circ.gate.num_slits)
+    full = (np.kron(circ.combine, eye) @ scipy.linalg.block_diag(*slits)
+            @ np.kron(circ.prepare, eye))
+    return full[:, : psi.dim] @ psi.amplitudes
+
+
 def test_build_dilation_pads_odd_slit_counts():
-    gate = DualityGate(np.array([0.5, 0.25, 0.25]),
-                       tuple(random_unitary(2, np.random.default_rng(i)) for i in range(3)))
-    circ = build_dilation(gate)
-    assert circ.num_aux_qubits == 2
-    assert len(circ.slit_unitaries) == 4
-    assert np.array_equal(circ.slit_unitaries[3], I2)
-    coeffs = circ.effective_coefficients()
-    assert np.abs(coeffs - [0.5, 0.25, 0.25, 0.0]).max() < 1e-12
+    rng = np.random.default_rng(53)
+    for m, num_aux in ((3, 2), (5, 3), (7, 3)):
+        gate = random_gate(m, 1, rng)
+        circ = build_dilation(gate)
+        assert circ.gate is gate
+        assert circ.num_aux_qubits == num_aux
+        assert circ.total_qubits == 1 + num_aux
+        coeffs = circ.effective_coefficients()
+        assert np.abs(coeffs[:m] - gate.weights).max() < 1e-12
+        assert np.array_equal(coeffs[m:], np.zeros((1 << num_aux) - m))
+        psi = random_state(1, rng)
+        full = run_dilation(psi, circ)
+        assert np.abs(full.amplitudes - brute_force_dilation(circ, psi)).max() < 1e-12
+
+
+def test_dilation_circuit_holds_only_its_gate_and_the_two_stages():
+    assert [f.name for f in dataclasses.fields(DilationCircuit)] == ["gate", "prepare", "combine"]
+    gate = DualityGate(np.full(3, 1 / 3), (I2, X, Z))
+    with pytest.raises(ValueError):
+        DilationCircuit(gate, HAD, HAD)  # 2 auxiliary values cannot hold 3 slits
+    with pytest.raises(ValueError):
+        DilationCircuit(gate, np.eye(3), np.eye(3))  # not a whole register
+    with pytest.raises(ValueError):
+        DilationCircuit(gate, np.eye(4), np.eye(8))  # stages of different sizes
+    with pytest.raises(ValueError):
+        DilationCircuit(gate, np.eye(4), np.diag([1.0, 1.0, 1.0, 0.5]))  # not unitary
+
+
+def test_dilation_circuit_with_any_stages_matches_its_effective_operator():
+    # stages that give the padding slots nonzero weight: those slots are the identity
+    rng = np.random.default_rng(59)
+    gate = random_gate(3, 2, rng)
+    circ = DilationCircuit(gate, random_unitary(4, rng), random_unitary(4, rng))
+    assert np.abs(circ.effective_coefficients()[3]) > 1e-3
+    psi = random_state(2, rng)
+    full = run_dilation(psi, circ)
+    assert np.abs(full.amplitudes - brute_force_dilation(circ, psi)).max() < 1e-12
+    block = aux_zero_block(full, circ.num_aux_qubits)
+    assert np.abs(block.amplitudes - circ.effective_operator() @ psi.amplitudes).max() < 1e-12
+
+
+def test_build_dilation_checks_unitarity_of_its_two_stages_only(monkeypatch):
+    # the slits were checked by DualityGate; the circuit checks prepare and combine
+    import dualsim.duality as duality
+
+    rng = np.random.default_rng(61)
+    calls = []
+
+    def counting_is_unitary(op, tol):
+        calls.append(np.shape(op))
+        return is_unitary(op, tol)
+
+    for m in range(2, 10):
+        gate = random_gate(m, 1, rng)
+        calls.clear()
+        monkeypatch.setattr(duality, "is_unitary", counting_is_unitary)
+        circ = build_dilation(gate)
+        monkeypatch.undo()
+        dim_aux = 1 << circ.num_aux_qubits
+        assert calls == [(dim_aux, dim_aux)] * 2, m
 
 
 def test_unitary_completion_edge_cases():
@@ -237,7 +303,7 @@ def test_dilation_equivalence_property():
     rng = np.random.default_rng(31)
     worst = 0.0
     count = 0
-    for m in (2, 3, 4):
+    for m in (2, 3, 4, 5, 7):
         for _ in range(34):
             n = int(rng.integers(1, 5))
             gate = random_gate(m, n, rng)

@@ -7,7 +7,8 @@ paths (and with them the ``# command=`` line) match the frozen files.
 
 A deliberate change to an RNG stream or an output format regenerates the
 files with ``PYTHONPATH=src python tests/test_golden.py`` and says why in
-CHANGES.md.
+CHANGES.md.  ``python tests/test_golden.py NAME ...`` writes only the named
+cases, so adding a case leaves the frozen files of the others untouched.
 """
 import contextlib
 import io
@@ -57,6 +58,12 @@ CASES = {
                        "--seed", "6", "--out", "recycle_budget.csv"],
     "simulate_measured": ["simulate", "--circuit", "measured.qc", "--seed", "12",
                           "--out", "simulate_measured.csv"],
+    "simulate_three_slit_hit": ["simulate", "--circuit", "three_slit.qc", "--seed", "1",
+                                "--out", "simulate_three_slit_hit.csv"],
+    "simulate_three_slit_miss": ["simulate", "--circuit", "three_slit.qc", "--seed", "4",
+                                 "--out", "simulate_three_slit_miss.csv"],
+    "simulate_five_slit_miss": ["simulate", "--circuit", "five_slit.qc", "--seed", "1",
+                                "--out", "simulate_five_slit_miss.csv"],
     "decompose": ["decompose", "--in", "matrix.txt", "--seed", "2", "--out", "decompose.txt"],
     "curve": ["curve", "--n", "6", "--marked-count", "2", "--jmax", "12", "--seed", "3",
               "--out", "curve.csv"],
@@ -113,9 +120,15 @@ def test_degenerate_runs_exhaust_quickly(name, tmp_path, capsys):
     assert elapsed < DEGENERATE_TIME_LIMIT_S, f"{name} took {elapsed:.1f} s"
 
 
-def regenerate() -> None:
-    """Rewrite every golden file from the current code."""
-    for name, argv in {**CASES, **DEGENERATE_CASES}.items():
+def regenerate(names: list[str]) -> None:
+    """Rewrite the golden files of the named cases (all cases if none) from the
+    current code."""
+    cases = {**CASES, **DEGENERATE_CASES}
+    unknown = sorted(set(names) - cases.keys())
+    if unknown:
+        raise SystemExit(f"error: unknown golden case(s): {', '.join(unknown)}")
+    for name in names or cases:
+        argv = cases[name]
         with tempfile.TemporaryDirectory() as tmp:
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
@@ -126,4 +139,4 @@ def regenerate() -> None:
 
 
 if __name__ == "__main__":
-    regenerate()
+    regenerate(sys.argv[1:])

@@ -16,6 +16,7 @@ from dualsim import (
     StateVector,
     basis_state,
     build_dilation,
+    cycle_budget,
     default_max_cycles,
     exact_recovery,
     expected_cycles,
@@ -198,3 +199,32 @@ def test_default_max_cycles_policy():
     assert default_max_cycles(PHASE_SLIT, basis_state(1, 0)) == 128
     assert default_max_cycles(DualityGate(np.array([0.5, 0.5]), (Z, -Z)),
                               basis_state(1, 0)) == 1_000_000
+
+
+def test_cycle_budget_rule():
+    assert cycle_budget(1.0) == 64
+    assert cycle_budget(0.5) == 128
+    assert cycle_budget(0.3) == 214  # ceil(213.33...)
+    assert cycle_budget(64e-6) == 1_000_000
+    assert cycle_budget(1e-7) == 1_000_000
+    assert cycle_budget(0.0) == 1_000_000
+    assert cycle_budget(-1.0) == 1_000_000
+
+
+def test_prebuilt_circuit_of_another_gate_is_rejected():
+    # same register sizes, different slits: the budget and the recovery would
+    # come from one gate while the loop runs the other
+    other = DualityGate(np.array([0.5, 0.5]), (Z, I2))
+    equal_copy = DualityGate(PHASE_SLIT.weights, PHASE_SLIT.unitaries)
+    for circuit_gate in (other, equal_copy):
+        circuit = build_dilation(circuit_gate)
+        assert circuit.num_work_qubits == PHASE_SLIT.num_qubits
+        assert circuit.num_aux_qubits == 1
+        for strategy in (Reset(basis_state(1, 0)), ExactUnitary(exact_recovery(PHASE_SLIT))):
+            with pytest.raises(ValueError, match="different gate"):
+                run_recycling(basis_state(1, 0), PHASE_SLIT, strategy, 4,
+                              rng=np.random.default_rng(0), circuit=circuit)
+    circuit = build_dilation(PHASE_SLIT)
+    run = run_recycling(basis_state(1, 0), PHASE_SLIT, Reset(basis_state(1, 0)), 4,
+                        rng=np.random.default_rng(0), circuit=circuit)
+    assert run.cycles_used >= 1
