@@ -214,14 +214,15 @@ def cmd_simulate(args, argv: list[str]) -> int:
     print(outcome_line)
     print(f"qubits {result.state.num_qubits}")
     print(f"norm {_fmt(norm(result.state))}")
-    for i, a in enumerate(result.state.amplitudes):
-        print(f"{i} {_fmt(a.real)} {_fmt(a.imag)}")
+    lines = _comment_header(args.seed, argv)
+    lines.append(f"# {outcome_line}")
+    lines.append("index,re,im")
+    for i, a in enumerate(result.state.amplitudes.tolist()):
+        re, im = _fmt(a.real), _fmt(a.imag)
+        print(f"{i} {re} {im}")
+        if args.out is not None:
+            lines.append(f"{i},{re},{im}")
     if args.out is not None:
-        lines = _comment_header(args.seed, argv)
-        lines.append(f"# {outcome_line}")
-        lines.append("index,re,im")
-        for i, a in enumerate(result.state.amplitudes):
-            lines.append(f"{i},{_fmt(a.real)},{_fmt(a.imag)}")
         _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 

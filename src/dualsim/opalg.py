@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .duality import DualityGate, _weighted_sum, as_slit_weights
-from .statevec import DEFAULT_UNITARY_TOL, is_unitary, validate_operator
+from .statevec import DEFAULT_UNITARY_TOL, checked_unitary, is_unitary, validate_operator
 
 #: Normality commutator test threshold (scaled by max(1, ||A||_2)).
 DEFAULT_NORMAL_TOL = 1e-10
@@ -48,15 +48,9 @@ class LcuDecomposition:
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         w = as_slit_weights(self.weights)
-        us = []
-        for i, u in enumerate(self.unitaries):
-            u = validate_operator(u).copy()
-            if not is_unitary(u, DEFAULT_UNITARY_TOL):
-                raise ValueError(f"factor {i} is not unitary within {DEFAULT_UNITARY_TOL}")
-            u.setflags(write=False)
-            us.append(u)
+        us = tuple(checked_unitary(u, f"factor {i}") for i, u in enumerate(self.unitaries))
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "unitaries", tuple(us))
+        object.__setattr__(self, "unitaries", us)
 
     def reconstruct(self) -> np.ndarray:
         return self.alpha * _weighted_sum(self.weights, self.unitaries)

@@ -14,28 +14,19 @@ state exists to recover.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .duality import (
     DEGENERATE_BRANCH_TOL,
-    DilationCircuit,
     DualityGate,
     Hit,
     MeasurementOutcome,
-    Readout,
     apply_duality_gate,
     build_dilation,
-    run_dilation,
 )
-from .statevec import (
-    DEFAULT_UNITARY_TOL,
-    StateVector,
-    is_normalized,
-    is_unitary,
-    validate_operator,
-)
+from .statevec import DEFAULT_UNITARY_TOL, StateVector, checked_unitary, is_normalized
 
 #: Hard ceiling on any cycle budget.
 MAX_CYCLES_CAP = 1_000_000
@@ -45,14 +36,6 @@ class InfiniteExpectationError(ValueError):
     """Hit probability vanishes, so the expected cycle count diverges."""
 
 
-def _checked_recovery(mat) -> np.ndarray:
-    u = validate_operator(mat).copy()
-    if not is_unitary(u, DEFAULT_UNITARY_TOL):
-        raise ValueError(f"recovery operator is not unitary within {DEFAULT_UNITARY_TOL}")
-    u.setflags(write=False)
-    return u
-
-
 @dataclass(frozen=True)
 class ExactUnitary:
     """Detected recovery: apply this unitary to the miss work state."""
@@ -60,36 +43,18 @@ class ExactUnitary:
     recovery: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "recovery", _checked_recovery(self.recovery))
+        object.__setattr__(self, "recovery", checked_unitary(self.recovery, "recovery operator"))
 
 
 @dataclass(frozen=True)
 class Reset:
-    """Re-prepare the stored input after every miss (always available).
-
-    Every cycle that starts from the stored input measures the same
-    dilated state, so its ``Readout`` is built once per circuit and kept
-    here: share one Reset across the trials of an experiment and the
-    dilation runs once for all of them.
-    """
+    """Re-prepare the stored input after every miss (always available)."""
 
     input: StateVector
-    _readout: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not is_normalized(self.input):
             raise ValueError("Reset input must be normalized")
-
-    def readout(self, circuit: DilationCircuit) -> Readout:
-        """Readout of ``circuit`` run on the stored input, cached for the last circuit.
-
-        The cache holds the circuit itself, so its identity stays a valid key.
-        """
-        cached_circuit, readout = self._readout
-        if cached_circuit is not circuit:
-            readout = Readout(run_dilation(self.input, circuit), circuit.num_aux_qubits)
-            object.__setattr__(self, "_readout", (circuit, readout))
-        return readout
 
 
 @dataclass(frozen=True)
@@ -99,7 +64,7 @@ class Custom:
     recovery: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "recovery", _checked_recovery(self.recovery))
+        object.__setattr__(self, "recovery", checked_unitary(self.recovery, "recovery operator"))
 
 
 RecoveryStrategy = ExactUnitary | Reset | Custom
@@ -152,9 +117,14 @@ def cycle_budget(p_hit: float) -> int:
     return min(MAX_CYCLES_CAP, math.ceil(64.0 / p_hit))
 
 
+def _direct_hit_probability(gate: DualityGate, state: StateVector) -> float:
+    """P0 = ||sum_i p_i U_i state||**2, by the direct route."""
+    return float(np.linalg.norm(apply_duality_gate(state, gate).amplitudes) ** 2)
+
+
 def default_max_cycles(gate: DualityGate, state: StateVector) -> int:
     """``cycle_budget`` of P0 = ||sum_i p_i U_i state||**2."""
-    return cycle_budget(float(np.linalg.norm(apply_duality_gate(state, gate).amplitudes) ** 2))
+    return cycle_budget(_direct_hit_probability(gate, state))
 
 
 def run_recycling(input_state: StateVector, gate: DualityGate,
@@ -170,10 +140,11 @@ def run_recycling(input_state: StateVector, gate: DualityGate,
     a prebuilt dilation of ``gate`` (``circuit.gate is gate``) to amortize
     construction over many runs.
 
-    Under Reset every cycle from the stored input measures the same state,
-    so those cycles reuse ``strategy.readout(circuit)`` and cost one
-    ``rng.random()`` each (two on a Hit): the same draws, in the same
-    order, as running the dilation and ``conditional_measure`` every cycle.
+    Every cycle measures ``circuit.readout(state)``, which the circuit keeps
+    for its last input.  A cycle that starts from the same state as the one
+    before (every cycle under Reset) therefore costs one ``rng.random()``
+    (two on a Hit): the same draws, in the same order, as running the
+    dilation and ``conditional_measure`` every cycle.
     """
     if not is_normalized(input_state):
         raise ValueError("run_recycling requires a normalized input state")
@@ -201,29 +172,20 @@ def run_recycling(input_state: StateVector, gate: DualityGate,
     dim_work = gate.dim
     reset = isinstance(strategy, Reset)
     state = input_state
-    readout = strategy.readout(circuit) if reset and _same_state(state, strategy.input) else None
     probs: list[float] = []
     outcome: MeasurementOutcome
     for cycle in range(1, max_cycles + 1):
-        if readout is None:
-            readout = Readout(run_dilation(state, circuit), circuit.num_aux_qubits)
+        readout = circuit.readout(state)
         probs.append(readout.p_hit)
         outcome = readout.measure(rng)
         if isinstance(outcome, Hit):
             return RecyclingRun(outcome, cycle, tuple(probs))
         if reset:
-            readout = strategy.readout(circuit)
+            state = strategy.input
         else:
             miss_work = outcome.post_state.amplitudes[dim_work:]
             state = StateVector(gate.num_qubits, strategy.recovery @ miss_work)
-            readout = None
     return RecyclingRun(outcome, max_cycles, tuple(probs))
-
-
-def _same_state(a: StateVector, b: StateVector) -> bool:
-    """Bit-for-bit equal amplitudes (so -0.0 and 0.0 differ)."""
-    return a is b or (a.num_qubits == b.num_qubits
-                      and a.amplitudes.tobytes() == b.amplitudes.tobytes())
 
 
 def expected_cycles(gate: DualityGate, input_state: StateVector) -> float:
@@ -234,7 +196,7 @@ def expected_cycles(gate: DualityGate, input_state: StateVector) -> float:
     """
     if not is_normalized(input_state):
         raise ValueError("expected_cycles requires a normalized input state")
-    p_hit = float(np.linalg.norm(apply_duality_gate(input_state, gate).amplitudes) ** 2)
+    p_hit = _direct_hit_probability(gate, input_state)
     if p_hit <= DEGENERATE_BRANCH_TOL:
         raise InfiniteExpectationError(f"hit probability {p_hit!r} vanishes")
     return 1.0 / p_hit

@@ -215,8 +215,9 @@ def run_search_experiment(problem: SearchProblem, j: int, trials: int, seed: int
     """``trials`` independent hybrid searches on rng streams derived from
     (seed, trial index); aggregation is order-independent.
 
-    All trials share one prepared state and one Reset, so the dilation and
-    its readout are computed once per experiment.
+    All trials share one prepared state, one Reset and the problem's cached
+    dilation circuit, which keeps the prepared state's readout: the
+    dilation runs once per experiment.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

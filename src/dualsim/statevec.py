@@ -114,12 +114,37 @@ def validate_operator(op) -> np.ndarray:
     return mat
 
 
+#: Rows of op† op formed at a time by ``is_unitary``.
+_GRAM_BLOCK_ROWS = 256
+
+
 def is_unitary(op, tol: float = DEFAULT_UNITARY_TOL) -> bool:
-    """True iff the max-entry magnitude of (op† op - I) is within ``tol``."""
+    """True iff the max-entry magnitude of (op† op - I) is within ``tol``.
+
+    op† op is formed 256 rows at a time, so the scratch is O(256 N) rather
+    than two N×N matrices: a caller that keeps the ``checked_unitary``
+    copies of the operators it checked before peaks no higher than one
+    that checks every operator before copying any.
+    """
     mat = validate_operator(op)
-    gram = mat.conj().T @ mat
-    gram.flat[:: mat.shape[0] + 1] -= 1.0
-    return float(np.abs(gram).max()) <= tol
+    dim = mat.shape[0]
+    for start in range(0, dim, _GRAM_BLOCK_ROWS):
+        gram = mat[:, start:start + _GRAM_BLOCK_ROWS].conj().T @ mat
+        gram.flat[start:: dim + 1] -= 1.0  # this block's rows of the identity
+        if float(np.abs(gram).max()) > tol:
+            return False
+    return True
+
+
+def checked_unitary(op, what: str) -> np.ndarray:
+    """Frozen complex128 copy of ``op``; ``ValueError`` naming ``what`` unless
+    it is unitary within ``DEFAULT_UNITARY_TOL``."""
+    mat = validate_operator(op)
+    if not is_unitary(mat, DEFAULT_UNITARY_TOL):
+        raise ValueError(f"{what} is not unitary within {DEFAULT_UNITARY_TOL}")
+    mat = mat.copy()
+    mat.setflags(write=False)
+    return mat
 
 
 def oracle_phases(dim: int, marked) -> np.ndarray:
@@ -216,9 +241,10 @@ def parse_complex_literal(token: str) -> complex:
 
 def format_complex_literal(z: complex) -> str:
     z = complex(z)
-    if z.imag == 0.0:
+    negative = math.copysign(1.0, z.imag) < 0  # keeps the sign of an imaginary -0.0
+    if z.imag == 0.0 and not negative:
         return repr(z.real)
-    sign = "-" if z.imag < 0 else "+"
+    sign = "-" if negative else "+"
     return f"{z.real!r}{sign}{abs(z.imag)!r}i"
 
 

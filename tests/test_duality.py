@@ -258,7 +258,7 @@ def test_dilation_circuit_with_any_stages_matches_its_effective_operator():
 
 def test_build_dilation_checks_unitarity_of_its_two_stages_only(monkeypatch):
     # the slits were checked by DualityGate; the circuit checks prepare and combine
-    import dualsim.duality as duality
+    import dualsim.statevec as statevec
 
     rng = np.random.default_rng(61)
     calls = []
@@ -270,7 +270,7 @@ def test_build_dilation_checks_unitarity_of_its_two_stages_only(monkeypatch):
     for m in range(2, 10):
         gate = random_gate(m, 1, rng)
         calls.clear()
-        monkeypatch.setattr(duality, "is_unitary", counting_is_unitary)
+        monkeypatch.setattr(statevec, "is_unitary", counting_is_unitary)
         circ = build_dilation(gate)
         monkeypatch.undo()
         dim_aux = 1 << circ.num_aux_qubits

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from conftest import FixedRandom
 from dualsim import (
     Custom,
+    DilationCircuit,
     DualityGate,
     ExactUnitary,
     Hit,
@@ -20,9 +23,11 @@ from dualsim import (
     default_max_cycles,
     exact_recovery,
     expected_cycles,
+    hit_probability,
     is_unitary,
     random_state,
     random_unitary,
+    run_dilation,
     run_recycling,
     search_gate,
     trial_rng,
@@ -228,3 +233,111 @@ def test_prebuilt_circuit_of_another_gate_is_rejected():
     run = run_recycling(basis_state(1, 0), PHASE_SLIT, Reset(basis_state(1, 0)), 4,
                         rng=np.random.default_rng(0), circuit=circuit)
     assert run.cycles_used >= 1
+
+
+def _count_dilations(monkeypatch):
+    """Record (circuit, work state) for every run_dilation call from now on."""
+    import dualsim.duality as duality
+
+    calls = []
+    real = duality.run_dilation
+
+    def counting(work_state, circuit):
+        calls.append((circuit, work_state))
+        return real(work_state, circuit)
+
+    monkeypatch.setattr(duality, "run_dilation", counting)
+    return calls
+
+
+def test_circuit_keeps_the_readout_of_its_last_input(monkeypatch):
+    circuit = build_dilation(PHASE_SLIT)
+    state = StateVector(1, [1.0, 0.0])
+    p_hit = hit_probability(run_dilation(state, circuit), 1)
+    calls = _count_dilations(monkeypatch)
+    first = circuit.readout(state)
+    assert first.p_hit == p_hit
+    assert circuit.readout(state) is first  # the same object
+    assert circuit.readout(StateVector(1, [1.0, 0.0])) is first  # a bit-equal copy
+    assert len(calls) == 1
+    # differs only in the sign of a zero amplitude: not the same bits
+    signed = StateVector(1, [1.0, -0.0])
+    assert signed.amplitudes.tobytes() != state.amplitudes.tobytes()
+    again = circuit.readout(signed)
+    assert again is not first and len(calls) == 2
+    assert circuit.readout(state) is not first and len(calls) == 3  # one input is kept
+
+
+def test_two_circuits_sharing_one_reset_keep_separate_readouts(monkeypatch):
+    state = basis_state(1, 0)
+    strategy = Reset(state)
+    gates = (PHASE_SLIT, DualityGate(np.array([0.7, 0.3]), (I2, 1j * I2)))
+    circuits = tuple(build_dilation(gate) for gate in gates)
+    calls = _count_dilations(monkeypatch)
+    cycles = 0
+    for t, k in enumerate((0, 1, 0, 1, 1, 0)):
+        run = run_recycling(state, gates[k], strategy, 50, rng=trial_rng(5, t),
+                            circuit=circuits[k])
+        cycles += run.cycles_used
+    assert cycles > 6  # some trials missed and went round again
+    assert calls == [(circuits[0], state), (circuits[1], state)]
+
+
+def test_unitary_recovery_reruns_the_dilation_only_for_a_new_state(monkeypatch):
+    # every cycle asks the circuit for a readout; the dilation runs only when
+    # that cycle's state differs in bits from the one before it, across trials
+    state = basis_state(1, 0)
+    starts = []
+    real_readout = DilationCircuit.readout
+
+    def recording_readout(self, work_state):
+        starts.append(work_state.amplitudes.tobytes())
+        return real_readout(self, work_state)
+
+    monkeypatch.setattr(DilationCircuit, "readout", recording_readout)
+    calls = _count_dilations(monkeypatch)
+    for strategy in (ExactUnitary(exact_recovery(PHASE_SLIT)), Custom(Z)):
+        circuit = build_dilation(PHASE_SLIT)
+        total_cycles = 0
+        starts.clear()
+        calls.clear()
+        for t in range(20):
+            run = run_recycling(state, PHASE_SLIT, strategy, 50, rng=trial_rng(9, t),
+                                circuit=circuit)
+            total_cycles += run.cycles_used
+        assert len(starts) == total_cycles
+        changes = sum(1 for prev, cur in zip([None] + starts, starts) if cur != prev)
+        assert len(calls) == changes < total_cycles
+
+
+def test_threads_sharing_a_circuit_get_the_readout_of_their_own_input():
+    # the kept (input, readout) pair is replaced as one tuple, so a reader
+    # never pairs its input with a readout another thread kept for another
+    circuit = build_dilation(DualityGate(np.array([0.5, 0.5]), (I2, Z)))  # P0 = |<0|state>|^2
+    states = (basis_state(1, 0), StateVector(1, [0.6, 0.8j]))
+    expected = [hit_probability(run_dilation(s, circuit), 1) for s in states]
+    assert expected == [pytest.approx(1.0), pytest.approx(0.36)]
+    wrong = []
+
+    def worker(k):
+        for i in range(3000):
+            j = (i + k) % 2
+            try:
+                p_hit = circuit.readout(states[j]).p_hit
+            except Exception as exc:  # a worker's error would otherwise only warn
+                p_hit = exc
+            if p_hit != expected[j]:
+                wrong.append((k, i, p_hit))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []

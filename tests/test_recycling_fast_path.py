@@ -1,9 +1,12 @@
-"""Reset's reused readout against the plain loop it replaces.
+"""The shared recycling cycle against the plain loop it replaces.
 
-The reference runs the dilation and ``conditional_measure`` on every cycle.
-Under Reset, ``run_recycling`` must give the same cycle count, outcome,
-post-state bytes and per-cycle hit probabilities, leave the generator in
-the same state, and raise ``DegenerateBranchError`` at the same draw.
+``run_recycling`` measures the readout the dilation circuit keeps for its
+last input; the reference runs the dilation and ``conditional_measure`` on
+every cycle.  Under Reset, ExactUnitary and Custom recovery, with one
+circuit shared across trials, the two must give the same cycle count,
+outcome, post-state bytes and per-cycle hit probabilities, leave the
+generator in the same state, and raise ``DegenerateBranchError`` at the
+same draw.
 """
 import numpy as np
 import pytest
@@ -12,15 +15,19 @@ from hypothesis import strategies as st
 
 from conftest import FixedRandom
 from dualsim import (
+    Custom,
     DegenerateBranchError,
     DualityGate,
+    ExactUnitary,
     Hit,
     Miss,
     Reset,
     SearchProblem,
+    StateVector,
     basis_state,
     build_dilation,
     conditional_measure,
+    exact_recovery,
     hit_probability,
     hybrid_search,
     random_state,
@@ -34,15 +41,23 @@ from dualsim import (
 I2 = np.eye(2, dtype=complex)
 
 
-def reference_loop(state, circuit, max_cycles, rng):
-    """(outcome, cycles, per-cycle hit probabilities), re-measuring every cycle."""
+def reference_loop(state, circuit, max_cycles, rng, recovery=None):
+    """(outcome, cycles, per-cycle hit probabilities), re-measuring every cycle.
+
+    After a miss the next cycle starts from ``state`` again, or, given a
+    ``recovery`` unitary, from it applied to the miss work amplitudes.
+    """
     probs = []
+    work = state
     for cycle in range(1, max_cycles + 1):
-        full = run_dilation(state, circuit)
+        full = run_dilation(work, circuit)
         probs.append(hit_probability(full, circuit.num_aux_qubits))
         outcome = conditional_measure(full, circuit.num_aux_qubits, rng)
         if isinstance(outcome, Hit):
             return outcome, cycle, tuple(probs)
+        if recovery is not None:
+            miss_work = outcome.post_state.amplitudes[state.dim:]
+            work = StateVector(state.num_qubits, recovery @ miss_work)
     return outcome, max_cycles, tuple(probs)
 
 
@@ -74,14 +89,50 @@ def test_reset_loop_matches_reference(num_slits, num_qubits, gate_seed, run_seed
     circuits = [build_dilation(gate) for gate in gates]
     state = random_state(num_qubits, rng)
     strategy = Reset(state)
-    # several trials share one Reset, as in an experiment; switching the
-    # circuit must not reuse the other circuit's readout
+    # several trials share one Reset and two circuits, as in an experiment;
+    # switching the circuit must not reuse the other circuit's readout
     for t, k in enumerate((0, 0, 1, 0)):
         fast_rng = trial_rng(run_seed, t)
         ref_rng = trial_rng(run_seed, t)
         run = run_recycling(state, gates[k], strategy, max_cycles, rng=fast_rng,
                             circuit=circuits[k])
         assert_same_run(run, reference_loop(state, circuits[k], max_cycles, ref_rng))
+        assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def exactly_recoverable_gate(num_qubits, rng):
+    """2-slit gate p0 U + p1 U W whose miss operator U (p0 - p1 W) is
+    proportional to a unitary: W has eigenvalues e^{+i phi} and e^{-i phi} only."""
+    dim = 1 << num_qubits
+    u, q = random_unitary(dim, rng), random_unitary(dim, rng)
+    phases = np.exp(1j * rng.uniform(0.1, np.pi) * rng.choice([-1.0, 1.0], size=dim))
+    p0 = rng.uniform(0.05, 0.95)
+    return DualityGate(np.array([p0, 1.0 - p0]), (u, u @ ((q * phases) @ q.conj().T)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(recovery=st.sampled_from(["exact", "custom"]), num_qubits=st.integers(1, 2),
+       gate_seed=st.integers(0, 2**32 - 1), run_seed=st.integers(0, 2**32 - 1),
+       max_cycles=st.integers(1, 40))
+def test_unitary_recovery_loop_matches_reference(recovery, num_qubits, gate_seed, run_seed,
+                                                 max_cycles):
+    rng = np.random.default_rng(gate_seed)
+    if recovery == "exact":
+        gate = exactly_recoverable_gate(num_qubits, rng)
+        strategy = ExactUnitary(exact_recovery(gate))
+    else:
+        gate = random_gate(2, num_qubits, rng)
+        strategy = Custom(random_unitary(gate.dim, rng))
+    circuit = build_dilation(gate)
+    state = random_state(num_qubits, rng)
+    # one circuit across the trials: a trial may start on the readout the
+    # previous trial left kept on it
+    for t in range(4):
+        fast_rng = trial_rng(run_seed, t)
+        ref_rng = trial_rng(run_seed, t)
+        run = run_recycling(state, gate, strategy, max_cycles, rng=fast_rng, circuit=circuit)
+        assert_same_run(run, reference_loop(state, circuit, max_cycles, ref_rng,
+                                            strategy.recovery))
         assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
 
 

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import controlled_block_matrix, embed_matrix
 from dualsim import (
@@ -16,6 +20,7 @@ from dualsim import (
     random_unitary,
     uniform_state,
 )
+from dualsim.statevec import checked_unitary
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -194,6 +199,15 @@ def test_is_unitary():
     rng = np.random.default_rng(9)
     assert is_unitary(random_unitary(8, rng))
     assert not is_unitary(1.0000001 * random_unitary(4, rng), tol=1e-10)
+    # past the first block of Gram rows: a deviation in any block counts
+    big = random_unitary(600, rng)
+    assert is_unitary(big)
+    for row, col in ((590, 590), (300, 10), (5, 599)):
+        off = big.copy()
+        off[:, col] += 1e-9 * off[:, row]  # perturbs (op† op)[row, col] and [col, row]
+        assert not is_unitary(off), (row, col)
+        gram = off.conj().T @ off - np.eye(600)
+        assert 1e-10 < np.abs(gram).max() < 1e-8
 
 
 def test_matrix_text_round_trip():
@@ -203,6 +217,68 @@ def test_matrix_text_round_trip():
     mat[1, 2] = 1.5e-3 + 2e4j
     again = parse_matrix_text(format_matrix_text(mat))
     assert np.array_equal(again, mat)
+
+
+def test_matrix_text_keeps_a_negative_zero_imaginary_part():
+    # 1-0j with a signed zero: the literal 1-0j itself evaluates to 1+0j
+    mat = np.array([[complex(1.0, -0.0), 0], [0, 1]])
+    text = format_matrix_text(mat)
+    assert text.splitlines()[1] == "1.0-0.0i 0.0"
+    again = parse_matrix_text(text)
+    assert math.copysign(1.0, again[0, 0].imag) == -1.0
+    assert again.tobytes() == mat.tobytes()
+
+
+_SIGNED_ZERO_OR_FINITE = st.one_of(st.sampled_from([0.0, -0.0]),
+                                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda d: st.lists(st.tuples(_SIGNED_ZERO_OR_FINITE, _SIGNED_ZERO_OR_FINITE),
+                       min_size=d * d, max_size=d * d)))
+def test_matrix_text_round_trip_is_bit_exact(entries):
+    dim = math.isqrt(len(entries))
+    mat = np.array([complex(re, im) for re, im in entries]).reshape(dim, dim)
+    assert parse_matrix_text(format_matrix_text(mat)).tobytes() == mat.tobytes()
+
+
+def test_checked_unitary_returns_a_frozen_copy_or_names_the_operator():
+    h = H.real.tolist()  # a real nested list: coerced to complex128
+    u = checked_unitary(h, "test operator")
+    assert u.dtype == np.complex128 and not u.flags.writeable
+    assert np.array_equal(u, H)
+    src = H.copy()
+    assert not np.shares_memory(checked_unitary(src, "test operator"), src)
+    with pytest.raises(ValueError, match=r"^test operator is not unitary within 1e-10$"):
+        checked_unitary(2 * H, "test operator")
+    with pytest.raises(ValueError, match="square"):
+        checked_unitary(np.ones((2, 3)), "test operator")
+
+
+def test_each_unitarity_check_names_its_operator():
+    from dualsim import (Custom, DilationCircuit, DualityGate, ExactUnitary,
+                         LcuDecomposition, apply_per_slit, divide)
+
+    bad = 2 * H
+    half = np.array([0.5, 0.5])
+    tail = " is not unitary within 1e-10$"
+    with pytest.raises(ValueError, match="^slit operator 1" + tail):
+        DualityGate(half, (H, bad))
+    with pytest.raises(ValueError, match="^slit operator 0" + tail):
+        apply_per_slit(divide(basis_state(1, 0), half), (bad, np.eye(4)))
+    gate = DualityGate(half, (H, X))
+    with pytest.raises(ValueError, match="^prepare operator" + tail):
+        DilationCircuit(gate, bad, H)
+    with pytest.raises(ValueError, match="^combine operator" + tail):
+        DilationCircuit(gate, H, bad)
+    with pytest.raises(ValueError, match="combine operator has dim 4"):
+        DilationCircuit(gate, bad, np.eye(4))  # sizes are checked before unitarity
+    for strategy in (ExactUnitary, Custom):
+        with pytest.raises(ValueError, match="^recovery operator" + tail):
+            strategy(bad)
+    with pytest.raises(ValueError, match="^factor 1" + tail):
+        LcuDecomposition(1.0, half, (H, bad), 0.0)
 
 
 def test_matrix_text_parsing():
