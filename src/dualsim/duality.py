@@ -28,8 +28,6 @@ from .statevec import (
 
 #: Slit weights must sum to 1 within this.
 WEIGHT_SUM_TOL = 1e-12
-#: Sub-waves in a BranchState must be normalized within this.
-SUBWAVE_NORM_TOL = 1e-10
 #: Below this norm a measurement branch cannot be normalized.
 DEGENERATE_BRANCH_TOL = 1e-14
 
@@ -74,7 +72,7 @@ class BranchState:
         if len({wave.num_qubits for _, wave in branches}) != 1:
             raise ValueError("all sub-waves must share num_qubits")
         for i, (_, wave) in enumerate(branches):
-            if not is_normalized(wave, SUBWAVE_NORM_TOL):
+            if not is_normalized(wave):
                 raise ValueError(f"sub-wave {i} is not normalized")
         object.__setattr__(self, "branches", branches)
 
@@ -158,11 +156,10 @@ def combine(branch: BranchState) -> StateVector:
 
 
 def apply_duality_gate(state: StateVector, gate: DualityGate) -> StateVector:
-    """(sum_i p_i U_i)|state>; equal to combine(apply_per_slit(divide(...)))."""
+    """(sum_i p_i U_i)|state> for any state, normalized or not; on a normalized
+    state equal to combine(apply_per_slit(divide(...)))."""
     if state.dim != gate.dim:
         raise ValueError(f"state dim {state.dim} does not match gate dim {gate.dim}")
-    if not is_normalized(state):
-        raise ValueError("apply_duality_gate requires a normalized input state")
     out = np.zeros(state.dim, dtype=np.complex128)
     for p, u in zip(gate.weights, gate.unitaries):
         out += p * (u @ state.amplitudes)

@@ -13,7 +13,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .duality import DualityGate, _weighted_sum, as_slit_weights
 from .statevec import DEFAULT_UNITARY_TOL, checked_unitary, is_unitary, validate_operator
@@ -56,6 +55,12 @@ class LcuDecomposition:
         return self.alpha * _weighted_sum(self.weights, self.unitaries)
 
 
+def _witness(source: np.ndarray, alpha: float, weights, unitaries) -> LcuDecomposition:
+    """alpha * sum_i p_i U_i with its max-entry reconstruction error against ``source``."""
+    recon = alpha * _weighted_sum(weights, unitaries)
+    return LcuDecomposition(alpha, weights, unitaries, float(np.abs(recon - source).max()))
+
+
 def check_normal(mat, tol: float = DEFAULT_NORMAL_TOL) -> bool:
     """Commutator test: max-entry |A A† - A† A| <= tol * max(1, ||A||_2)."""
     a = validate_operator(mat)
@@ -91,20 +96,20 @@ def lcu_decompose(mat) -> LcuDecomposition:
     scale = max(float(np.linalg.norm(herm, 2)), float(np.linalg.norm(skew, 2)))
     if scale == 0.0:
         eye = np.eye(dim, dtype=np.complex128)
-        return LcuDecomposition(0.0, weights, (eye, eye, eye, eye), 0.0)
+        return _witness(a, 0.0, weights, (eye, eye, eye, eye))
     v1 = _unitary_lift(herm / scale)
     v2 = _unitary_lift(skew / scale)
-    unitaries = (v1, v1.conj().T, 1j * v2, 1j * v2.conj().T)
-    alpha = 2.0 * scale
-    recon = alpha * 0.25 * (unitaries[0] + unitaries[1] + unitaries[2] + unitaries[3])
-    return LcuDecomposition(alpha, weights, unitaries, float(np.abs(recon - a).max()))
+    return _witness(a, 2.0 * scale, weights, (v1, v1.conj().T, 1j * v2, 1j * v2.conj().T))
 
 
 def normal_decompose(mat, tol: float = DEFAULT_NORMAL_TOL) -> LcuDecomposition:
     """Two commuting unitaries averaging to a normal matrix over max |eigenvalue|.
 
-    Diagonalize A = Q diag(lambda) Q† (complex Schur; diagonal since A is
-    normal) and split each eigenvalue over the unit circle:
+    Diagonalize A = Q diag(lambda) Q† with ``np.linalg.eig`` and make Q
+    unitary by QR of the eigenvectors (for normal A, eigenvectors of distinct
+    eigenvalues are orthogonal, so QR only orthonormalizes within the
+    eigenspace of a repeated eigenvalue).  Split each eigenvalue over the
+    unit circle:
 
         lambda/alpha = (e^{i(theta+delta)} + e^{i(theta-delta)}) / 2,
         theta = arg(lambda), delta = arccos(|lambda|/alpha) in [0, pi].
@@ -118,21 +123,19 @@ def normal_decompose(mat, tol: float = DEFAULT_NORMAL_TOL) -> LcuDecomposition:
         raise NotNormalError(f"matrix is not normal within tol={tol}")
     dim = a.shape[0]
     weights = np.array([0.5, 0.5])
-    tri, q = scipy.linalg.schur(a, output="complex")
-    lam = np.diag(tri).copy()
+    lam, vecs = np.linalg.eig(a)
     order = np.lexsort((lam.imag, lam.real))
     lam = lam[order]
-    q = q[:, order]
     alpha = float(np.max(np.abs(lam)))
     if alpha == 0.0:
         eye = np.eye(dim, dtype=np.complex128)
-        return LcuDecomposition(0.0, weights, (eye, eye), 0.0)
+        return _witness(a, 0.0, weights, (eye, eye))
+    q = np.linalg.qr(vecs[:, order])[0]
     theta = np.angle(lam)
     delta = np.arccos(np.clip(np.abs(lam) / alpha, 0.0, 1.0))
     u1 = (q * np.exp(1j * (theta + delta))) @ q.conj().T
     u2 = (q * np.exp(1j * (theta - delta))) @ q.conj().T
-    recon = alpha * 0.5 * (u1 + u2)
-    return LcuDecomposition(alpha, weights, (u1, u2), float(np.abs(recon - a).max()))
+    return _witness(a, alpha, weights, (u1, u2))
 
 
 def classify_duality_gate(gate: DualityGate, tol: float = DEFAULT_UNITARY_TOL) -> GateClass:

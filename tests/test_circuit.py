@@ -112,6 +112,17 @@ def test_run_bare_duality_block_leaves_norm_alone():
     assert res.outcome is None
 
 
+def test_consecutive_bare_duality_blocks_apply_the_map_to_an_unnormalized_state():
+    block = "duality 2\nweights 0.5 0.5\nslit 0\nx 0\nslit 1\nendduality\n"
+    res = run_circuit(parse_circuit("qubits 1\ninit basis 0\n" + 2 * block))
+    # (X + I)/2 maps |0> to (|0> + |1>)/2, which it leaves unchanged
+    assert np.array_equal(res.state.amplitudes, [0.5, 0.5])
+    assert f"{norm(res.state):.17g}" == "0.70710678118654757"
+    with pytest.raises(ValueError, match="normalized"):
+        run_circuit(parse_circuit("qubits 1\ninit basis 0\n" + 2 * block + "cmeasure\n"),
+                    rng=np.random.default_rng(0))
+
+
 def test_run_measured_duality_block():
     spec = parse_circuit(FIG_STYLE)
     saw = set()

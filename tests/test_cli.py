@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -272,3 +276,16 @@ def test_write_replaces_an_existing_file(tmp_path):
     _write_text(str(out), "new\n")
     assert out.read_text() == "new\n"
     assert list(tmp_path.iterdir()) == [out]
+
+
+def test_cli_import_loads_numpy_and_the_stdlib_only():
+    # a fresh interpreter, so that modules this test process imported do not count
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys; before = set(sys.modules); import dualsim.cli; "
+            "loaded = {m.partition('.')[0] for m in set(sys.modules) - before}; "
+            "print(sorted(loaded - set(sys.stdlib_module_names) - {'numpy', 'dualsim'}))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

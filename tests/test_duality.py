@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from conftest import FixedRandom
 from dualsim import (
@@ -146,6 +145,17 @@ def test_apply_duality_gate_examples():
     assert np.abs(out.amplitudes).max() <= 1e-15
 
 
+def test_apply_duality_gate_accepts_an_unnormalized_state():
+    rng = np.random.default_rng(31)
+    for m in (2, 3):
+        gate = random_gate(m, 2, rng)
+        amps = 0.3 * random_state(2, rng).amplitudes
+        out = apply_duality_gate(StateVector(2, amps), gate)
+        assert np.abs(out.amplitudes - gate.matrix() @ amps).max() <= 1e-14
+    with pytest.raises(ValueError, match="does not match gate dim"):
+        apply_duality_gate(StateVector(1, [0.5, 0.0]), gate)
+
+
 def test_apply_duality_gate_matches_three_step_composition():
     rng = np.random.default_rng(23)
     for m in (2, 3, 4):
@@ -206,11 +216,14 @@ def test_build_dilation_asymmetric_column():
 
 def brute_force_dilation(circ, psi):
     """kron(combine, I) . blockdiag(U_0..U_{m-1}, I..I) . kron(prepare, I) on |0>|psi>."""
-    eye = np.eye(psi.dim)
+    d = psi.dim
+    eye = np.eye(d)
     dim_aux = circ.prepare.shape[0]
     slits = list(circ.gate.unitaries) + [eye] * (dim_aux - circ.gate.num_slits)
-    full = (np.kron(circ.combine, eye) @ scipy.linalg.block_diag(*slits)
-            @ np.kron(circ.prepare, eye))
+    select = np.zeros((dim_aux * d, dim_aux * d), dtype=complex)
+    for i, u in enumerate(slits):
+        select[i * d:(i + 1) * d, i * d:(i + 1) * d] = u
+    full = np.kron(circ.combine, eye) @ select @ np.kron(circ.prepare, eye)
     return full[:, : psi.dim] @ psi.amplitudes
 
 

@@ -65,6 +65,8 @@ CASES = {
     "simulate_five_slit_miss": ["simulate", "--circuit", "five_slit.qc", "--seed", "1",
                                 "--out", "simulate_five_slit_miss.csv"],
     "decompose": ["decompose", "--in", "matrix.txt", "--seed", "2", "--out", "decompose.txt"],
+    "decompose_normal_repeated": ["decompose", "--normal", "--in", "normal_repeated.txt",
+                                  "--seed", "2", "--out", "decompose_normal_repeated.txt"],
     "curve": ["curve", "--n", "6", "--marked-count", "2", "--jmax", "12", "--seed", "3",
               "--out", "curve.csv"],
 }

@@ -124,6 +124,55 @@ def test_normal_decompose_random_normals():
         assert check_normal(dec.reconstruct())
 
 
+def test_normal_decompose_reports_the_residual_of_a_nilpotent_input():
+    # commutator 1e-12 passes the normality test, but both eigenvalues are 0
+    a = np.array([[0, 1e-6], [0, 0]], dtype=complex)
+    assert check_normal(a)
+    dec = normal_decompose(a)
+    assert dec.alpha == 0.0
+    assert dec.residual == 1e-6
+    assert dec.residual == np.abs(dec.reconstruct() - a).max()
+
+
+def _cube_roots_repeated(rng):
+    lam = np.repeat(np.exp(2j * np.pi * np.arange(3) / 3), [6, 5, 5])
+    q = random_unitary(16, rng)
+    return (q * lam) @ q.conj().T
+
+
+def _repeated_eigenvalue_inputs():
+    rng = np.random.default_rng(37)
+    q = random_unitary(3, rng)
+    yield np.eye(4, dtype=complex)
+    yield (q * np.array([1.0, 1.0, 0.5])) @ q.conj().T
+    yield np.kron(I2, X)
+    yield np.roll(np.eye(8, dtype=complex), 1, axis=0)  # 8-cycle shift
+    yield _cube_roots_repeated(rng)
+
+
+@pytest.mark.parametrize("a", list(_repeated_eigenvalue_inputs()),
+                         ids=["I4", "Q diag(1,1,0.5) Q+", "kron(I2,X)", "8-cycle", "cube roots"])
+def test_normal_decompose_repeated_eigenvalues(a):
+    dec = normal_decompose(a)
+    u1, u2 = dec.unitaries
+    assert is_unitary(u1, 1e-10) and is_unitary(u2, 1e-10)
+    assert np.abs(u1 @ u2 - u2 @ u1).max() <= 1e-9
+    assert dec.residual <= 1e-9 * max(1.0, dec.alpha)
+    assert dec.residual == np.abs(dec.reconstruct() - a).max()
+
+
+def test_normal_decompose_near_defective_input():
+    # [[1, eps], [0, 1]]: commutator eps**2 passes the normality test
+    a = np.array([[1, 1e-6], [0, 1]], dtype=complex)
+    assert check_normal(a)
+    dec = normal_decompose(a)
+    u1, u2 = dec.unitaries
+    assert is_unitary(u1, 1e-10) and is_unitary(u2, 1e-10)
+    assert np.abs(u1 @ u2 - u2 @ u1).max() <= 1e-9
+    assert dec.residual == np.abs(dec.reconstruct() - a).max()
+    assert 0.5e-6 <= dec.residual <= 2e-6
+
+
 def test_normal_decompose_deterministic():
     rng = np.random.default_rng(23)
     a = random_normal_matrix(4, rng)
