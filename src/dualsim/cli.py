@@ -24,7 +24,7 @@ import numpy as np
 from .circuit import parse_circuit, run_circuit
 from .duality import DualityGate, Hit, build_dilation
 from .opalg import DEFAULT_NORMAL_TOL, lcu_decompose, normal_decompose
-from .rand import trial_rng
+from .rand import trial_rngs
 from .recycling import (
     Custom,
     ExactUnitary,
@@ -165,9 +165,8 @@ def cmd_recycle(args, argv: list[str]) -> int:
     hist: Counter[int] = Counter()
     hits = 0
     total_cycles = 0
-    for t in range(args.trials):
-        run = run_recycling(state, gate, strategy, max_cycles, rng=trial_rng(args.seed, t),
-                            circuit=circuit)
+    for rng in trial_rngs(args.seed, range(args.trials)):
+        run = run_recycling(state, gate, strategy, max_cycles, rng=rng, circuit=circuit)
         hist[run.cycles_used] += 1
         hits += not run.exhausted
         total_cycles += run.cycles_used

@@ -30,6 +30,9 @@ from .statevec import (
 WEIGHT_SUM_TOL = 1e-12
 #: Below this norm a measurement branch cannot be normalized.
 DEGENERATE_BRANCH_TOL = 1e-14
+#: Largest array of branch draws ``Readout.measure_until_hit`` takes at once.
+_MAX_DRAW_CHUNK = 1 << 16
+_PCG64_PERIOD = 1 << 128
 
 
 class DegenerateBranchError(RuntimeError):
@@ -361,7 +364,8 @@ class Readout:
     ``p_hit`` picks the branch, and a Hit takes one more for the sampled
     index.  Each branch (the normalized state and, for a Hit, the Born
     cumulative sum) is built on first use and kept, so a loop that keeps
-    measuring the same state pays one draw per measurement.  A degenerate
+    measuring the same state pays one draw per measurement, and
+    ``measure_until_hit`` draws a run of them as one array.  A degenerate
     branch raises ``DegenerateBranchError`` every time it is drawn.
     """
 
@@ -380,6 +384,32 @@ class Readout:
 
     def measure(self, rng) -> MeasurementOutcome:
         return self._sample_hit(rng) if rng.random() < self.p_hit else self._take_miss()
+
+    def measure_until_hit(self, rng: np.random.Generator,
+                          limit: int) -> tuple[int, MeasurementOutcome]:
+        """``measure`` up to ``limit`` times, stopping at the first Hit:
+        (measurements made, last outcome).
+
+        For a ``rewinds_draws`` generator whose last ``measure`` here was a
+        Miss (so the miss branch is built).  The branch draws come as
+        ``rng.random(k)`` arrays, k = 2 / p_hit (86% of runs need one array)
+        up to 2**16, and the draws past the Hit are rewound with
+        ``bit_generator.advance``: the same doubles, in the same order, and
+        the same final generator state as the scalar ``measure`` calls.
+        """
+        p = self.p_hit
+        chunk = _MAX_DRAW_CHUNK if p * _MAX_DRAW_CHUNK <= 2.0 else math.ceil(2.0 / p)
+        done = 0
+        while done < limit:
+            k = min(chunk, limit - done)
+            hits = (rng.random(k) < p).nonzero()[0]
+            if hits.size:
+                used = int(hits[0]) + 1
+                if used < k:
+                    rng.bit_generator.advance(_PCG64_PERIOD - (k - used))
+                return done + used, self._sample_hit(rng)
+            done += k
+        return limit, self._take_miss()
 
     def _sample_hit(self, rng) -> Hit:
         if self._hit is None:
@@ -402,3 +432,13 @@ class Readout:
             rest /= scale
             self._miss = Miss(_fresh_state(self._full.num_qubits, rest))
         return self._miss
+
+
+def rewinds_draws(rng) -> bool:
+    """Whether ``Readout.measure_until_hit`` can draw from ``rng``: a
+    ``Generator`` on a PCG64 bit generator, whose ``advance`` steps back by
+    wrapping around the 2**128 period, holding no buffered 32-bit half-word
+    (``advance`` would drop it)."""
+    return (isinstance(rng, np.random.Generator)
+            and isinstance(rng.bit_generator, (np.random.PCG64, np.random.PCG64DXSM))
+            and not rng.bit_generator.state["has_uint32"])

@@ -25,6 +25,7 @@ from .duality import (
     MeasurementOutcome,
     apply_duality_gate,
     build_dilation,
+    rewinds_draws,
 )
 from .statevec import DEFAULT_UNITARY_TOL, StateVector, checked_unitary, is_normalized
 
@@ -141,10 +142,14 @@ def run_recycling(input_state: StateVector, gate: DualityGate,
     construction over many runs.
 
     Every cycle measures ``circuit.readout(state)``, which the circuit keeps
-    for its last input.  A cycle that starts from the same state as the one
-    before (every cycle under Reset) therefore costs one ``rng.random()``
-    (two on a Hit): the same draws, in the same order, as running the
-    dilation and ``conditional_measure`` every cycle.
+    for its last input.  A cycle whose readout is the one the cycle before
+    missed on (every cycle under Reset after the first, and a unitary
+    recovery at a bit-exact fixed point) repeats the same measurement, so
+    with a PCG64 ``Generator`` the run of such cycles is drawn in chunks by
+    ``Readout.measure_until_hit``.  Any other ``rng`` (only ``.random()`` is
+    needed) draws one cycle at a time.  Either way the cycles use the same
+    doubles in the same order, and leave ``rng`` in the same state, as
+    running the dilation and ``conditional_measure`` every cycle.
     """
     if not is_normalized(input_state):
         raise ValueError("run_recycling requires a normalized input state")
@@ -171,21 +176,29 @@ def run_recycling(input_state: StateVector, gate: DualityGate,
 
     dim_work = gate.dim
     reset = isinstance(strategy, Reset)
+    chunked = rewinds_draws(rng)
     state = input_state
+    missed = None
     probs: list[float] = []
-    outcome: MeasurementOutcome
-    for cycle in range(1, max_cycles + 1):
+    cycles = 0
+    while cycles < max_cycles:
         readout = circuit.readout(state)
-        probs.append(readout.p_hit)
-        outcome = readout.measure(rng)
+        if chunked and readout is missed:
+            used, outcome = readout.measure_until_hit(rng, max_cycles - cycles)
+            probs += [readout.p_hit] * used
+        else:
+            used, outcome = 1, readout.measure(rng)
+            probs.append(readout.p_hit)
+        cycles += used
         if isinstance(outcome, Hit):
-            return RecyclingRun(outcome, cycle, tuple(probs))
+            break
+        missed = readout
         if reset:
             state = strategy.input
         else:
             miss_work = outcome.post_state.amplitudes[dim_work:]
             state = StateVector(gate.num_qubits, strategy.recovery @ miss_work)
-    return RecyclingRun(outcome, max_cycles, tuple(probs))
+    return RecyclingRun(outcome, cycles, tuple(probs))
 
 
 def expected_cycles(gate: DualityGate, input_state: StateVector) -> float:

@@ -24,7 +24,7 @@ from .duality import (
     conditional_measure,
     run_dilation,
 )
-from .rand import trial_rng
+from .rand import trial_rngs
 from .recycling import Reset, cycle_budget, run_recycling
 from .statevec import StateVector, _fresh_state, invert_about_mean, oracle_phases, uniform_state
 
@@ -224,9 +224,8 @@ def run_search_experiment(problem: SearchProblem, j: int, trials: int, seed: int
     params = HybridParams.for_problem(problem, j)
     budget = cycle_budget(params.success_prob) if max_repetitions is None else max_repetitions
     strategy = Reset(_prepared_state(problem, j))
-    results = tuple(_search_trial(problem, strategy, budget, params.success_prob,
-                                  trial_rng(seed, t))
-                    for t in range(trials))
+    results = tuple(_search_trial(problem, strategy, budget, params.success_prob, rng)
+                    for rng in trial_rngs(seed, range(trials)))
     hits = sum(1 for r in results if r.hit_index is not None)
     total = sum(r.repetitions for r in results)
     return SearchStats(trials, hits, total, hits / trials, params.success_prob, results)

@@ -37,7 +37,7 @@ from dualsim import (
     run_recycling,
     run_search_experiment,
     search_gate,
-    trial_rng,
+    trial_rngs,
     uniform_state,
 )
 from dualsim.cli import main
@@ -101,9 +101,8 @@ def test_criterion_3_recycling_expectation():
     circuit = build_dilation(gate)
     trials = 20_000
     counts = np.empty(trials)
-    for t in range(trials):
-        run = run_recycling(state, gate, Reset(state), 4096, rng=trial_rng(303, t),
-                            circuit=circuit)
+    for t, rng in enumerate(trial_rngs(303, range(trials))):
+        run = run_recycling(state, gate, Reset(state), 4096, rng=rng, circuit=circuit)
         counts[t] = run.cycles_used
     se = counts.std(ddof=1) / math.sqrt(trials)
     dev_search = abs(counts.mean() - 16.0)
@@ -118,9 +117,8 @@ def test_criterion_3_recycling_expectation():
     zero = basis_state(1, 0)
     trials2 = 50_000
     counts2 = np.empty(trials2)
-    for t in range(trials2):
-        run = run_recycling(zero, phase_gate, strategy, 512, rng=trial_rng(404, t),
-                            circuit=phase_circuit)
+    for t, rng in enumerate(trial_rngs(404, range(trials2))):
+        run = run_recycling(zero, phase_gate, strategy, 512, rng=rng, circuit=phase_circuit)
         counts2[t] = run.cycles_used
     se2 = counts2.std(ddof=1) / math.sqrt(trials2)
     dev_phase = abs(counts2.mean() - 2.0)

@@ -81,7 +81,7 @@ DEGENERATE_CASES = {
     "degenerate_search": ["search", "--n", "2", "--marked", "0,1,2", "--j", "1",
                           "--trials", "2", "--out", "degenerate_search.csv"],
 }
-DEGENERATE_TIME_LIMIT_S = 30.0
+DEGENERATE_TIME_LIMIT_S = 2.0
 
 
 def _out_name(argv: list[str]) -> str:

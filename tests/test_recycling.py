@@ -31,6 +31,7 @@ from dualsim import (
     run_recycling,
     search_gate,
     trial_rng,
+    trial_rngs,
     uniform_state,
 )
 
@@ -111,9 +112,8 @@ def test_reset_mean_cycles_matches_inverse_hit_probability():
     circuit = build_dilation(PHASE_SLIT)
     trials = 100_000
     counts = np.empty(trials)
-    for t in range(trials):
-        run = run_recycling(state, PHASE_SLIT, strategy, 128, rng=trial_rng(99, t),
-                            circuit=circuit)
+    for t, rng in enumerate(trial_rngs(99, range(trials))):
+        run = run_recycling(state, PHASE_SLIT, strategy, 128, rng=rng, circuit=circuit)
         assert not run.exhausted
         counts[t] = run.cycles_used
     want = expected_cycles(PHASE_SLIT, state)
@@ -128,9 +128,8 @@ def test_exact_unitary_mean_cycles_phase_slit():
     circuit = build_dilation(PHASE_SLIT)
     trials = 20_000
     counts = np.empty(trials)
-    for t in range(trials):
-        run = run_recycling(state, PHASE_SLIT, strategy, 128, rng=trial_rng(7, t),
-                            circuit=circuit)
+    for t, rng in enumerate(trial_rngs(7, range(trials))):
+        run = run_recycling(state, PHASE_SLIT, strategy, 128, rng=rng, circuit=circuit)
         counts[t] = run.cycles_used
         assert np.abs(np.array(run.per_cycle_hit_prob) - 0.5).max() <= 1e-10
     se = counts.std(ddof=1) / math.sqrt(trials)
@@ -144,9 +143,8 @@ def test_search_gate_reset_small_sample():
     circuit = build_dilation(gate)
     trials = 2000
     counts = np.empty(trials)
-    for t in range(trials):
-        run = run_recycling(state, gate, Reset(state), 2048, rng=trial_rng(3, t),
-                            circuit=circuit)
+    for t, rng in enumerate(trial_rngs(3, range(trials))):
+        run = run_recycling(state, gate, Reset(state), 2048, rng=rng, circuit=circuit)
         assert isinstance(run.outcome, Hit)
         assert run.outcome.sampled_index == 11
         counts[t] = run.cycles_used

@@ -1,16 +1,20 @@
 """The shared recycling cycle against the plain loop it replaces.
 
 ``run_recycling`` measures the readout the dilation circuit keeps for its
-last input; the reference runs the dilation and ``conditional_measure`` on
-every cycle.  Under Reset, ExactUnitary and Custom recovery, with one
-circuit shared across trials, the two must give the same cycle count,
-outcome, post-state bytes and per-cycle hit probabilities, leave the
-generator in the same state, and raise ``DegenerateBranchError`` at the
-same draw.
+last input, and draws a run of repeated measurements in chunks when the
+generator is a rewindable PCG64 ``Generator``; the reference runs the
+dilation and ``conditional_measure`` on every cycle, one scalar draw at a
+time.  Under Reset, ExactUnitary and Custom recovery, with one circuit
+shared across trials, and with generators that take the chunked or the
+scalar path, the two must give the same cycle count, outcome, post-state
+bytes and per-cycle hit probabilities, leave the generator in the same
+state, and raise ``DegenerateBranchError`` at the same draw.
 """
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FixedRandom
@@ -35,10 +39,13 @@ from dualsim import (
     run_dilation,
     run_recycling,
     run_search_experiment,
+    search_gate,
     trial_rng,
+    uniform_state,
 )
 
 I2 = np.eye(2, dtype=complex)
+PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
 def reference_loop(state, circuit, max_cycles, rng, recovery=None):
@@ -80,14 +87,26 @@ def random_gate(num_slits, num_qubits, rng):
 
 
 @settings(max_examples=60, deadline=None)
-@given(num_slits=st.integers(2, 5), num_qubits=st.integers(1, 2),
+@given(family=st.sampled_from(["random", "search"]), num_slits=st.integers(2, 5),
+       num_qubits=st.integers(1, 2), search_qubits=st.integers(6, 8),
        gate_seed=st.integers(0, 2**32 - 1), run_seed=st.integers(0, 2**32 - 1),
-       max_cycles=st.integers(1, 40))
-def test_reset_loop_matches_reference(num_slits, num_qubits, gate_seed, run_seed, max_cycles):
+       max_cycles=st.integers(1, 3000))
+# P0 = 1/256: trial 3 misses 1100 times, two full chunks of 512 and a cut one
+@example(family="search", num_slits=2, num_qubits=1, search_qubits=8, gate_seed=0, run_seed=8,
+         max_cycles=1100)
+def test_reset_loop_matches_reference(family, num_slits, num_qubits, search_qubits, gate_seed,
+                                      run_seed, max_cycles):
     rng = np.random.default_rng(gate_seed)
-    gates = [random_gate(num_slits, num_qubits, rng) for _ in range(2)]
+    if family == "search":
+        # P0 = 1/64 .. 1/256 from the uniform state: runs of hundreds of
+        # cycles that span draw chunks, and budgets that end inside one
+        marked = rng.choice(1 << search_qubits, size=2, replace=False)
+        gates = [search_gate(SearchProblem(search_qubits, frozenset({int(m)}))) for m in marked]
+        state = uniform_state(search_qubits)
+    else:
+        gates = [random_gate(num_slits, num_qubits, rng) for _ in range(2)]
+        state = random_state(num_qubits, rng)
     circuits = [build_dilation(gate) for gate in gates]
-    state = random_state(num_qubits, rng)
     strategy = Reset(state)
     # several trials share one Reset and two circuits, as in an experiment;
     # switching the circuit must not reuse the other circuit's readout
@@ -98,6 +117,65 @@ def test_reset_loop_matches_reference(num_slits, num_qubits, gate_seed, run_seed
                             circuit=circuits[k])
         assert_same_run(run, reference_loop(state, circuits[k], max_cycles, ref_rng))
         assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def pcg64_drawing(top_bits, at):
+    """A PCG64 Generator whose ``random()`` draw number ``at`` (from 1) is
+    ``top_bits * 2**-53``: 0 gives 0.0, 2**53 - 1 the largest double below 1.
+
+    PCG64 outputs rotr64(hi ^ lo, hi >> 58) of its state after each step, so
+    the state hi = 0, lo = top_bits << 11 outputs that double; the generator
+    starts ``at`` LCG steps before it.  Earlier draws are whatever the stream
+    gives.
+    """
+    inc = np.random.default_rng(0).bit_generator.state["state"]["inc"]
+    inverse = pow(PCG64_MULT, -1, 1 << 128)
+    state = top_bits << 11
+    for _ in range(at):
+        state = (state - inc) * inverse % (1 << 128)
+    rng = np.random.Generator(np.random.PCG64(0))
+    rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+    return rng
+
+
+def scalar_or_chunked_rng(kind, seed, count):
+    if kind == "fixed":
+        return FixedRandom(np.random.default_rng(seed).random(count))
+    if kind == "mt19937":
+        return np.random.Generator(np.random.MT19937(seed))
+    if kind == "pcg64dxsm":
+        return np.random.Generator(np.random.PCG64DXSM(seed))
+    rng = np.random.default_rng(seed)
+    rng.integers(0, 10, dtype=np.uint32)  # leaves a buffered 32-bit half-word
+    assert rng.bit_generator.state["has_uint32"] == 1
+    return rng
+
+
+def rng_state(rng):
+    """Draw count of a FixedRandom; a generator's bit generator state (the
+    MT19937 key array as a list)."""
+    if isinstance(rng, FixedRandom):
+        return rng.draws
+    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["fixed", "mt19937", "pcg64dxsm", "pcg64_half_word"]),
+       num_qubits=st.integers(4, 6), marked=st.integers(0, 15),
+       run_seed=st.integers(0, 2**32 - 1), max_cycles=st.integers(1, 300))
+def test_other_generators_match_reference(kind, num_qubits, marked, run_seed, max_cycles):
+    # FixedRandom has only .random(), MT19937 has no advance, and a buffered
+    # half-word would be dropped by advance: these draw one cycle at a time.
+    # PCG64DXSM rewinds like PCG64 and draws in chunks.
+    gate = search_gate(SearchProblem(num_qubits, frozenset({marked})))
+    circuit = build_dilation(gate)
+    state = uniform_state(num_qubits)
+    fast_rng = scalar_or_chunked_rng(kind, run_seed, max_cycles + 1)
+    ref_rng = scalar_or_chunked_rng(kind, run_seed, max_cycles + 1)
+    run = run_recycling(state, gate, Reset(state), max_cycles, rng=fast_rng, circuit=circuit)
+    assert_same_run(run, reference_loop(state, circuit, max_cycles, ref_rng))
+    assert rng_state(fast_rng) == rng_state(ref_rng)
 
 
 def exactly_recoverable_gate(num_qubits, rng):
@@ -157,22 +235,28 @@ def test_reset_from_a_different_input_matches_reference(gate_seed, run_seed):
 def _draws_until_error(loop, rng):
     with pytest.raises(DegenerateBranchError) as info:
         loop(rng)
-    return rng.draws, str(info.value)
+    return rng_state(rng), str(info.value)
 
 
-@given(misses=st.integers(0, 20))
-def test_degenerate_hit_raises_at_the_same_draw(misses):
-    # P0 ~ 1e-31: positive, so a draw of 0.0 selects the hit, whose norm is degenerate
+@given(misses=st.integers(0, 20), real=st.booleans())
+def test_degenerate_hit_raises_at_the_same_draw(misses, real):
+    # P0 ~ 1e-31: positive, so a draw of 0.0 selects the hit, whose norm is
+    # degenerate; a real generator meets it inside a chunk of draws
     gate = DualityGate(np.array([0.5, 0.5]), (I2, -np.exp(1e-15j) * I2))
     state = basis_state(1, 0)
     circuit = build_dilation(gate)
-    draws = [0.5] * misses + [0.0]
+    make = (lambda: pcg64_drawing(0, misses + 1)) if real else (
+        lambda: FixedRandom([0.5] * misses + [0.0]))
     fast = _draws_until_error(
         lambda rng: run_recycling(state, gate, Reset(state), 100, rng=rng, circuit=circuit),
-        FixedRandom(draws))
-    ref = _draws_until_error(lambda rng: reference_loop(state, circuit, 100, rng),
-                             FixedRandom(draws))
-    assert fast == ref == (misses + 1, "hit branch has vanishing norm; cannot normalize")
+        make())
+    ref = _draws_until_error(lambda rng: reference_loop(state, circuit, 100, rng), make())
+    assert fast == ref
+    assert ref[1] == "hit branch has vanishing norm; cannot normalize"
+    if real:  # stopped right after the 0.0 draw, whose state is 0
+        assert json.loads(ref[0])["state"]["state"] == 0
+    else:
+        assert ref[0] == misses + 1
 
 
 def test_degenerate_miss_raises_at_the_same_draw():
@@ -187,13 +271,20 @@ def test_degenerate_miss_raises_at_the_same_draw():
             break
     else:
         pytest.fail("no seed gives a hit probability below 1")
-    draws = [np.nextafter(1.0, 0.0)]
-    fast = _draws_until_error(
-        lambda rng: run_recycling(state, gate, Reset(state), 100, rng=rng, circuit=circuit),
-        FixedRandom(draws))
-    ref = _draws_until_error(lambda rng: reference_loop(state, circuit, 100, rng),
-                             FixedRandom(draws))
-    assert fast == ref == (1, "miss branch has vanishing norm; cannot normalize")
+    # the largest double below 1 is a miss, from a FixedRandom and from a real generator
+    top = (1 << 53) - 1
+    for make, stopped_at in ((lambda: FixedRandom([np.nextafter(1.0, 0.0)]), 1),
+                             (lambda: pcg64_drawing(top, 1), None)):
+        fast = _draws_until_error(
+            lambda rng: run_recycling(state, gate, Reset(state), 100, rng=rng, circuit=circuit),
+            make())
+        ref = _draws_until_error(lambda rng: reference_loop(state, circuit, 100, rng), make())
+        assert fast == ref
+        assert ref[1] == "miss branch has vanishing norm; cannot normalize"
+        if stopped_at is None:  # just past that draw, whose state is top << 11
+            assert json.loads(ref[0])["state"]["state"] == top << 11
+        else:
+            assert ref[0] == stopped_at
 
 
 def test_search_experiment_matches_hybrid_search_per_trial():

@@ -1,0 +1,164 @@
+"""Per-layer timings of per-trial seeding and the repeat-until-hit loop, in process.
+
+    python3 tools/bench_layers.py [--src CHECKOUT/src] [--repeats N] [--label NAME --out FILE]
+
+Imports ``dualsim`` from ``--src`` (default: this checkout's ``src``) and
+times each layer with ``time.perf_counter_ns``; a layer's value is the
+median over ``--repeats`` rounds that each time every layer once, and a
+layer the checkout lacks reads null.  Layers:
+
+  seeding.trial_rng_us       one ``trial_rng(seed, t)`` call, over 2000 indices
+  seeding.trial_rngs_us      one trial's generator from ``trial_rngs``, over 2000
+  cycle.reset_scalar_us      one Reset cycle drawn one at a time: search gate
+                             n = 4 with one marked index (P0 = 1/16), an rng
+                             object with only ``.random()``, time per cycle
+                             over 2000 trials
+  cycle.reset_chunked_us     the same with a PCG64 Generator on a checkout
+                             that draws repeated cycles in chunks
+  trial.exhausted_1e6_ms     one Reset trial with P0 = 0 (search gate n = 4,
+                             marked 13, input |0>) that spends 10**6 cycles
+
+The record also holds nproc, OPENBLAS_NUM_THREADS, the numpy and Python
+versions, the checkout's git HEAD and whether its tracked files differ from
+it.  It is printed as JSON; with ``--out`` it is also appended to the list
+``layers.<label>`` of that JSON file, so runs of two checkouts can
+alternate.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TRIALS = 2000
+SEED = 2024
+
+
+class ScalarDraws:
+    """An rng with only ``.random()``: the loop draws it one cycle at a time."""
+
+    __slots__ = ("random",)
+
+    def __init__(self, generator):
+        self.random = generator.random
+
+
+def medians(repeats: int, layers: dict) -> dict:
+    """Median over ``repeats`` rounds of each layer's ``run()``, which returns
+    (elapsed ns, units); every round runs each layer once, so slow and fast
+    phases of the machine reach all layers alike."""
+    samples = {name: [] for name in layers}
+    for _ in range(repeats):
+        for name, run in layers.items():
+            elapsed_ns, units = run()
+            samples[name].append(elapsed_ns / units)
+    return {name: statistics.median(values) for name, values in samples.items()}
+
+
+def measure(repeats: int) -> dict:
+    import numpy as np
+
+    import dualsim
+    from dualsim import (Reset, SearchProblem, basis_state, build_dilation, run_recycling,
+                         search_gate, trial_rng, uniform_state)
+
+    def seeding_single():
+        start = time.perf_counter_ns()
+        for t in range(TRIALS):
+            trial_rng(SEED, t)
+        return time.perf_counter_ns() - start, TRIALS
+
+    def seeding_blocked():
+        start = time.perf_counter_ns()
+        for _ in dualsim.trial_rngs(SEED, range(TRIALS)):
+            pass
+        return time.perf_counter_ns() - start, TRIALS
+
+    gate = search_gate(SearchProblem(4, frozenset({13})))
+    circuit = build_dilation(gate)
+    prepared = uniform_state(4)
+    strategy = Reset(prepared)
+
+    def reset_cycles(wrap):
+        rngs = [wrap(np.random.default_rng(np.random.SeedSequence(SEED, spawn_key=(t,))))
+                for t in range(TRIALS)]
+        cycles = 0
+        start = time.perf_counter_ns()
+        for rng in rngs:
+            cycles += run_recycling(prepared, gate, strategy, 1024, rng=rng,
+                                    circuit=circuit).cycles_used
+        return time.perf_counter_ns() - start, cycles
+
+    zero = basis_state(4, 0)
+    exhaust_strategy = Reset(zero)
+
+    def exhausted_trial():
+        rng = np.random.default_rng(SEED)
+        start = time.perf_counter_ns()
+        run = run_recycling(zero, gate, exhaust_strategy, 10**6, rng=rng, circuit=circuit)
+        assert run.exhausted and run.cycles_used == 10**6
+        return time.perf_counter_ns() - start, 1
+
+    layers = {"seeding.trial_rng_us": seeding_single,
+              "seeding.trial_rngs_us": seeding_blocked,
+              "cycle.reset_scalar_us": lambda: reset_cycles(ScalarDraws),
+              "cycle.reset_chunked_us": lambda: reset_cycles(lambda g: g),
+              "trial.exhausted_1e6_ms": exhausted_trial}
+    absent = {"seeding.trial_rngs_us": not hasattr(dualsim, "trial_rngs"),
+              "cycle.reset_chunked_us": not hasattr(dualsim.Readout, "measure_until_hit")}
+    found = medians(repeats, {name: run for name, run in layers.items() if not absent.get(name)})
+    return {name: found[name] / (1e6 if name.endswith("_ms") else 1e3) if name in found else None
+            for name in layers}
+
+
+def git(src: Path, *argv: str) -> str | None:
+    try:
+        out = subprocess.run(["git", "-C", str(src), *argv], capture_output=True, text=True,
+                             check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return out.stdout.strip()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src")
+    parser.add_argument("--repeats", type=int, default=9)
+    parser.add_argument("--label")
+    parser.add_argument("--out", type=Path)
+    args = parser.parse_args()
+    if (args.label is None) != (args.out is None):
+        parser.error("--label and --out go together")
+    src = args.src.resolve()
+    sys.path.insert(0, str(src))
+    import numpy as np
+
+    record = {
+        "layers": measure(args.repeats),
+        "repeats": args.repeats,
+        "environment": {
+            "nproc": os.cpu_count(),
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+            "git_head": git(src, "rev-parse", "HEAD"),
+            "uncommitted_changes": bool(git(src, "status", "--porcelain", "--untracked-files=no")),
+        },
+    }
+    print(json.dumps(record, indent=2))
+    if args.out is not None:
+        doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
+        doc.setdefault("layers", {}).setdefault(args.label, []).append(record)
+        args.out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
