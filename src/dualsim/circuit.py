@@ -37,8 +37,6 @@ from .duality import (
     MeasurementOutcome,
     apply_duality_gate,
     build_dilation,
-    conditional_measure,
-    run_dilation,
 )
 from .statevec import (StateVector, apply_operator, basis_state, controlled_apply,
                        invert_about_mean, oracle_phases, uniform_state)
@@ -356,9 +354,7 @@ def run_circuit(spec: CircuitSpec, rng: np.random.Generator | None = None) -> Ci
             if instr.measured:
                 if rng is None:
                     raise ValueError("circuit contains cmeasure; run_circuit needs an rng")
-                circuit = build_dilation(gate)
-                full = run_dilation(state, circuit)
-                outcome = conditional_measure(full, circuit.num_aux_qubits, rng)
+                outcome = build_dilation(gate).readout(state).measure(rng)
                 state = outcome.post_state
             else:
                 state = apply_duality_gate(state, gate)

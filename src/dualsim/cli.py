@@ -14,6 +14,7 @@ files.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from collections import Counter
@@ -88,6 +89,17 @@ def _int_at_least(low: int):
 
 _positive = _int_at_least(1)
 _non_negative = _int_at_least(0)
+
+
+def _tolerance(tok: str) -> float:
+    """argparse type: a finite float >= 0, rejected before any work starts."""
+    try:
+        value = float(tok)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number {tok!r}") from None
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {tok}")
+    return value
 
 
 def _parse_marked(spec: str) -> frozenset[int]:
@@ -166,7 +178,7 @@ def cmd_recycle(args, argv: list[str]) -> int:
     hits = 0
     total_cycles = 0
     for rng in trial_rngs(args.seed, range(args.trials)):
-        run = run_recycling(state, gate, strategy, max_cycles, rng=rng, circuit=circuit)
+        run = run_recycling(state, circuit, strategy, max_cycles, rng=rng)
         hist[run.cycles_used] += 1
         hits += not run.exhausted
         total_cycles += run.cycles_used
@@ -275,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--in", dest="matrix_in", required=True, help="matrix text file")
     sp.add_argument("--normal", action="store_true",
                     help="two-term commuting decomposition (input must be normal)")
-    sp.add_argument("--tol", type=float, default=DEFAULT_NORMAL_TOL,
+    sp.add_argument("--tol", type=_tolerance, default=DEFAULT_NORMAL_TOL,
                     help="normality tolerance for --normal")
     sp.add_argument("--out", required=True, help="decomposition report file")
     common(sp)

@@ -20,11 +20,11 @@ import numpy as np
 
 from .duality import (
     DEGENERATE_BRANCH_TOL,
+    DilationCircuit,
     DualityGate,
     Hit,
     MeasurementOutcome,
     apply_duality_gate,
-    build_dilation,
     rewinds_draws,
 )
 from .statevec import DEFAULT_UNITARY_TOL, StateVector, checked_unitary, is_normalized
@@ -76,13 +76,11 @@ class RecyclingRun:
     """One loop execution.
 
     ``outcome`` is the final measurement: a Hit on success, otherwise the
-    last Miss (budget exhausted).  ``per_cycle_hit_prob`` logs the analytic
-    hit probability seen at the top of each cycle.
+    last Miss (budget exhausted); ``cycles_used`` counts the measurements.
     """
 
     outcome: MeasurementOutcome
     cycles_used: int
-    per_cycle_hit_prob: tuple[float, ...]
 
     @property
     def exhausted(self) -> bool:
@@ -128,18 +126,19 @@ def default_max_cycles(gate: DualityGate, state: StateVector) -> int:
     return cycle_budget(_direct_hit_probability(gate, state))
 
 
-def run_recycling(input_state: StateVector, gate: DualityGate,
+def run_recycling(input_state: StateVector, circuit: DilationCircuit,
                   strategy: RecoveryStrategy, max_cycles: int | None = None, *,
-                  rng: np.random.Generator,
-                  circuit=None) -> RecyclingRun:
-    """Loop (dilation -> conditional measurement) until a Hit or exhaustion.
+                  rng: np.random.Generator) -> RecyclingRun:
+    """Rerun ``circuit`` (dilation -> conditional measurement) until a Hit or
+    exhaustion.
 
     Each cycle starts with a fresh auxiliary |0> register (the miss state's
     auxiliary flip is pure bookkeeping in simulation).  After a miss the
     strategy produces the next work state: unitary strategies act on the
-    miss work state, Reset swaps in its stored input.  ``circuit`` may carry
-    a prebuilt dilation of ``gate`` (``circuit.gate is gate``) to amortize
-    construction over many runs.
+    miss work state, Reset swaps in its stored input.  The budget and the
+    recovery checks use ``circuit.gate``.  An input of the wrong size or
+    norm raises ``ValueError`` before any draw: the first cycle's
+    ``run_dilation`` checks it.
 
     Every cycle measures ``circuit.readout(state)``, which the circuit keeps
     for its last input.  A cycle whose readout is the one the cycle before
@@ -151,14 +150,7 @@ def run_recycling(input_state: StateVector, gate: DualityGate,
     doubles in the same order, and leave ``rng`` in the same state, as
     running the dilation and ``conditional_measure`` every cycle.
     """
-    if not is_normalized(input_state):
-        raise ValueError("run_recycling requires a normalized input state")
-    if input_state.dim != gate.dim:
-        raise ValueError(f"input dim {input_state.dim} does not match gate dim {gate.dim}")
-    if circuit is None:
-        circuit = build_dilation(gate)
-    elif circuit.gate is not gate:
-        raise ValueError("prebuilt circuit is the dilation of a different gate")
+    gate = circuit.gate
     if isinstance(strategy, (ExactUnitary, Custom)):
         if circuit.num_aux_qubits != 1:
             raise ValueError("unitary recovery needs a single-auxiliary (2-slit) gate; use Reset")
@@ -179,16 +171,13 @@ def run_recycling(input_state: StateVector, gate: DualityGate,
     chunked = rewinds_draws(rng)
     state = input_state
     missed = None
-    probs: list[float] = []
     cycles = 0
     while cycles < max_cycles:
         readout = circuit.readout(state)
         if chunked and readout is missed:
             used, outcome = readout.measure_until_hit(rng, max_cycles - cycles)
-            probs += [readout.p_hit] * used
         else:
             used, outcome = 1, readout.measure(rng)
-            probs.append(readout.p_hit)
         cycles += used
         if isinstance(outcome, Hit):
             break
@@ -198,7 +187,7 @@ def run_recycling(input_state: StateVector, gate: DualityGate,
         else:
             miss_work = outcome.post_state.amplitudes[dim_work:]
             state = StateVector(gate.num_qubits, strategy.recovery @ miss_work)
-    return RecyclingRun(outcome, cycles, tuple(probs))
+    return RecyclingRun(outcome, cycles)
 
 
 def expected_cycles(gate: DualityGate, input_state: StateVector) -> float:

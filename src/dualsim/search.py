@@ -21,8 +21,6 @@ from .duality import (
     DualityGate,
     MeasurementOutcome,
     build_dilation,
-    conditional_measure,
-    run_dilation,
 )
 from .rand import trial_rngs
 from .recycling import Reset, cycle_budget, run_recycling
@@ -138,11 +136,10 @@ def duality_search_step(state: StateVector, problem: SearchProblem,
 
     A Hit's sampled index is always marked (the aux=0 block is the marked
     projection of the input); the Miss state is the normalized unmarked
-    remainder on the aux=1 branch.
+    remainder on the aux=1 branch.  The problem's circuit keeps the readout
+    of the last state, so repeated steps on one state run the dilation once.
     """
-    circuit = _search_dilation(problem)
-    full = run_dilation(state, circuit)
-    return conditional_measure(full, circuit.num_aux_qubits, rng)
+    return _search_dilation(problem).readout(state).measure(rng)
 
 
 @dataclass(frozen=True)
@@ -164,8 +161,7 @@ def _search_trial(problem: SearchProblem, strategy: Reset, budget: int, success_
                   rng) -> TrialResult:
     """One repeat-until-hit trial: the recycling loop on the search gate, with
     Reset to the prepared state (fresh preparation) after every miss."""
-    circuit = _search_dilation(problem)
-    run = run_recycling(strategy.input, circuit.gate, strategy, budget, rng=rng, circuit=circuit)
+    run = run_recycling(strategy.input, _search_dilation(problem), strategy, budget, rng=rng)
     hit_index = None if run.exhausted else run.outcome.sampled_index
     return TrialResult(run.cycles_used, hit_index, success_prob)
 

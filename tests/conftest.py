@@ -1,7 +1,20 @@
-"""Shared test helpers: brute-force oracles and deterministic rng stand-ins."""
+"""Shared test helpers: brute-force oracles, deterministic rng stand-ins and a
+dilation-call counter."""
 import numpy as np
 
-from dualsim import random_unitary
+from dualsim import duality, random_unitary
+
+
+def count_dilations(monkeypatch):
+    """Record (circuit, work state) for every run_dilation call from now on."""
+    calls, real = [], duality.run_dilation
+
+    def counting(work_state, circuit):
+        calls.append((circuit, work_state))
+        return real(work_state, circuit)
+
+    monkeypatch.setattr(duality, "run_dilation", counting)
+    return calls
 
 
 class FixedRandom:

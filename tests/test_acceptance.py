@@ -102,7 +102,7 @@ def test_criterion_3_recycling_expectation():
     trials = 20_000
     counts = np.empty(trials)
     for t, rng in enumerate(trial_rngs(303, range(trials))):
-        run = run_recycling(state, gate, Reset(state), 4096, rng=rng, circuit=circuit)
+        run = run_recycling(state, circuit, Reset(state), 4096, rng=rng)
         counts[t] = run.cycles_used
     se = counts.std(ddof=1) / math.sqrt(trials)
     dev_search = abs(counts.mean() - 16.0)
@@ -118,7 +118,7 @@ def test_criterion_3_recycling_expectation():
     trials2 = 50_000
     counts2 = np.empty(trials2)
     for t, rng in enumerate(trial_rngs(404, range(trials2))):
-        run = run_recycling(zero, phase_gate, strategy, 512, rng=rng, circuit=phase_circuit)
+        run = run_recycling(zero, phase_circuit, strategy, 512, rng=rng)
         counts2[t] = run.cycles_used
     se2 = counts2.std(ddof=1) / math.sqrt(trials2)
     dev_phase = abs(counts2.mean() - 2.0)

@@ -247,6 +247,17 @@ def test_out_of_range_counts_are_rejected_before_any_output(tmp_path, argv, caps
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-10"])
+def test_non_finite_or_negative_tol_is_rejected_before_any_output(tmp_path, tol, capsys):
+    # at an infinite tol the non-normal [[1, 1], [0, 1]] would pass as normal
+    mat_file = tmp_path / "m.txt"
+    mat_file.write_text(format_matrix_text(np.array([[1, 1], [0, 1]], dtype=complex)))
+    assert main(["decompose", "--in", str(mat_file), "--normal", f"--tol={tol}",
+                 "--out", str(tmp_path / "dec.txt")]) == 2
+    assert "error: argument --tol: must be finite and >= 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [mat_file]
+
+
 def test_failed_write_keeps_the_old_file_and_no_temporary(tmp_path):
     out = tmp_path / "kept.csv"
     out.write_text("old\n")

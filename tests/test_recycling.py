@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import FixedRandom
+from conftest import FixedRandom, count_dilations
 from dualsim import (
     Custom,
     DilationCircuit,
@@ -80,108 +80,97 @@ def test_exact_recovery_contract_on_random_proportional_gates():
 
 
 def test_run_recycling_sure_hit():
-    gate = DualityGate(np.array([0.5, 0.5]), (I2, I2))
+    state = basis_state(1, 0)
+    circuit = build_dilation(DualityGate(np.array([0.5, 0.5]), (I2, I2)))
+    assert circuit.readout(state).p_hit == pytest.approx(1.0, abs=1e-12)
     for seed in range(10):
-        run = run_recycling(basis_state(1, 0), gate, Reset(basis_state(1, 0)),
-                            rng=np.random.default_rng(seed))
+        run = run_recycling(state, circuit, Reset(state), rng=np.random.default_rng(seed))
         assert isinstance(run.outcome, Hit)
         assert run.cycles_used == 1
-        assert run.per_cycle_hit_prob[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_exact_unitary_restores_the_input_each_cycle():
     state = random_state(1, np.random.default_rng(5))
     v = exact_recovery(PHASE_SLIT)
-    # drive one miss by hand and check V maps the miss work state back
-    miss = run_recycling(state, PHASE_SLIT, ExactUnitary(v), max_cycles=1,
-                         rng=FixedRandom([0.99, 0.5]))
-    assert miss.exhausted and isinstance(miss.outcome, Miss)
-    recovered = v @ miss.outcome.post_state.amplitudes[2:]
-    assert np.abs(recovered - state.amplitudes).max() <= 1e-10
-    # forced misses keep the analytic hit probability pinned at 1/2
-    run = run_recycling(state, PHASE_SLIT, ExactUnitary(v), max_cycles=6,
-                        rng=FixedRandom([0.99]))
-    assert run.exhausted and run.cycles_used == 6
-    assert np.abs(np.array(run.per_cycle_hit_prob) - 0.5).max() <= 1e-10
+    circuit = build_dilation(PHASE_SLIT)
+    # k forced misses: V maps each miss work state back onto the input, so
+    # the hit probability of the next cycle stays pinned at 1/2
+    for k in range(1, 7):
+        run = run_recycling(state, circuit, ExactUnitary(v), max_cycles=k,
+                            rng=FixedRandom([0.99]))
+        assert run.exhausted and isinstance(run.outcome, Miss) and run.cycles_used == k
+        recovered = StateVector(1, v @ run.outcome.post_state.amplitudes[2:])
+        assert np.abs(recovered.amplitudes - state.amplitudes).max() <= 1e-10
+        assert abs(circuit.readout(recovered).p_hit - 0.5) <= 1e-10
+
+
+def trial_runs(state, circuit, strategy, max_cycles, seed, trials):
+    return [run_recycling(state, circuit, strategy, max_cycles, rng=rng)
+            for rng in trial_rngs(seed, range(trials))]
+
+
+def assert_mean_cycles(runs, want):
+    """Every run hit, and the mean cycle count is within 3 SE of ``want``."""
+    assert not any(run.exhausted for run in runs)
+    counts = np.array([run.cycles_used for run in runs])
+    assert abs(counts.mean() - want) <= 3 * counts.std(ddof=1) / math.sqrt(counts.size)
 
 
 def test_reset_mean_cycles_matches_inverse_hit_probability():
     # phase-slit gate: P0 = 1/2, so cycle counts are geometric with mean 2
     state = basis_state(1, 0)
-    strategy = Reset(state)
-    circuit = build_dilation(PHASE_SLIT)
-    trials = 100_000
-    counts = np.empty(trials)
-    for t, rng in enumerate(trial_rngs(99, range(trials))):
-        run = run_recycling(state, PHASE_SLIT, strategy, 128, rng=rng, circuit=circuit)
-        assert not run.exhausted
-        counts[t] = run.cycles_used
     want = expected_cycles(PHASE_SLIT, state)
     assert want == pytest.approx(2.0, abs=1e-12)
-    se = counts.std(ddof=1) / math.sqrt(trials)
-    assert abs(counts.mean() - want) <= 3 * se
+    circuit = build_dilation(PHASE_SLIT)
+    assert_mean_cycles(trial_runs(state, circuit, Reset(state), 128, 99, 100_000), want)
 
 
 def test_exact_unitary_mean_cycles_phase_slit():
     state = basis_state(1, 0)
     strategy = ExactUnitary(exact_recovery(PHASE_SLIT))
-    circuit = build_dilation(PHASE_SLIT)
-    trials = 20_000
-    counts = np.empty(trials)
-    for t, rng in enumerate(trial_rngs(7, range(trials))):
-        run = run_recycling(state, PHASE_SLIT, strategy, 128, rng=rng, circuit=circuit)
-        counts[t] = run.cycles_used
-        assert np.abs(np.array(run.per_cycle_hit_prob) - 0.5).max() <= 1e-10
-    se = counts.std(ddof=1) / math.sqrt(trials)
-    assert abs(counts.mean() - 2.0) <= 3 * se
+    assert_mean_cycles(trial_runs(state, build_dilation(PHASE_SLIT), strategy, 128, 7, 20_000), 2.0)
 
 
 def test_search_gate_reset_small_sample():
-    problem = SearchProblem(4, frozenset({11}))
-    gate = search_gate(problem)
     state = uniform_state(4)
-    circuit = build_dilation(gate)
-    trials = 2000
-    counts = np.empty(trials)
-    for t, rng in enumerate(trial_rngs(3, range(trials))):
-        run = run_recycling(state, gate, Reset(state), 2048, rng=rng, circuit=circuit)
-        assert isinstance(run.outcome, Hit)
-        assert run.outcome.sampled_index == 11
-        counts[t] = run.cycles_used
-    se = counts.std(ddof=1) / math.sqrt(trials)
-    assert abs(counts.mean() - 16.0) <= 3 * se
+    circuit = build_dilation(search_gate(SearchProblem(4, frozenset({11}))))
+    runs = trial_runs(state, circuit, Reset(state), 2048, 3, 2000)
+    assert {run.outcome.sampled_index for run in runs} == {11}
+    assert_mean_cycles(runs, 16.0)
 
 
 def test_run_recycling_reproducible():
     state = uniform_state(2)
     gate = search_gate(SearchProblem(2, frozenset({1})))
-    runs = [run_recycling(state, gate, Reset(state), rng=np.random.default_rng(12345))
-            for _ in range(2)]
+    runs = [run_recycling(state, build_dilation(gate), Reset(state),
+                          rng=np.random.default_rng(12345)) for _ in range(2)]
     assert runs[0].cycles_used == runs[1].cycles_used
     assert runs[0].outcome.sampled_index == runs[1].outcome.sampled_index
-    assert runs[0].per_cycle_hit_prob == runs[1].per_cycle_hit_prob
+    assert (runs[0].outcome.post_state.amplitudes.tobytes()
+            == runs[1].outcome.post_state.amplitudes.tobytes())
 
 
 def test_run_recycling_exhaustion():
-    gate = DualityGate(np.array([0.5, 0.5]), (Z, -Z))  # P0 = 0: every cycle misses
+    circuit = build_dilation(DualityGate(np.array([0.5, 0.5]), (Z, -Z)))  # P0 = 0
     state = basis_state(1, 0)
-    run = run_recycling(state, gate, Reset(state), max_cycles=3,
+    assert circuit.readout(state).p_hit <= 1e-20  # every cycle misses
+    run = run_recycling(state, circuit, Reset(state), max_cycles=3,
                         rng=np.random.default_rng(0))
     assert run.exhausted
     assert isinstance(run.outcome, Miss)
     assert run.cycles_used == 3
-    assert np.abs(np.array(run.per_cycle_hit_prob)).max() <= 1e-20
 
 
 def test_run_recycling_strategy_validation():
     state = basis_state(1, 0)
     gate3 = DualityGate(np.array([0.4, 0.3, 0.3]), (I2, 1j * I2, I2))
+    circuit = build_dilation(PHASE_SLIT)
     with pytest.raises(ValueError):
-        run_recycling(state, gate3, Custom(I2), rng=np.random.default_rng(0))
+        run_recycling(state, build_dilation(gate3), Custom(I2), rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
-        run_recycling(state, PHASE_SLIT, ExactUnitary(np.eye(4)), rng=np.random.default_rng(0))
+        run_recycling(state, circuit, ExactUnitary(np.eye(4)), rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
-        run_recycling(state, PHASE_SLIT, Reset(basis_state(2, 0)), rng=np.random.default_rng(0))
+        run_recycling(state, circuit, Reset(basis_state(2, 0)), rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
         Reset(StateVector(1, [0.5, 0.0]))
     with pytest.raises(ValueError):
@@ -214,45 +203,11 @@ def test_cycle_budget_rule():
     assert cycle_budget(-1.0) == 1_000_000
 
 
-def test_prebuilt_circuit_of_another_gate_is_rejected():
-    # same register sizes, different slits: the budget and the recovery would
-    # come from one gate while the loop runs the other
-    other = DualityGate(np.array([0.5, 0.5]), (Z, I2))
-    equal_copy = DualityGate(PHASE_SLIT.weights, PHASE_SLIT.unitaries)
-    for circuit_gate in (other, equal_copy):
-        circuit = build_dilation(circuit_gate)
-        assert circuit.num_work_qubits == PHASE_SLIT.num_qubits
-        assert circuit.num_aux_qubits == 1
-        for strategy in (Reset(basis_state(1, 0)), ExactUnitary(exact_recovery(PHASE_SLIT))):
-            with pytest.raises(ValueError, match="different gate"):
-                run_recycling(basis_state(1, 0), PHASE_SLIT, strategy, 4,
-                              rng=np.random.default_rng(0), circuit=circuit)
-    circuit = build_dilation(PHASE_SLIT)
-    run = run_recycling(basis_state(1, 0), PHASE_SLIT, Reset(basis_state(1, 0)), 4,
-                        rng=np.random.default_rng(0), circuit=circuit)
-    assert run.cycles_used >= 1
-
-
-def _count_dilations(monkeypatch):
-    """Record (circuit, work state) for every run_dilation call from now on."""
-    import dualsim.duality as duality
-
-    calls = []
-    real = duality.run_dilation
-
-    def counting(work_state, circuit):
-        calls.append((circuit, work_state))
-        return real(work_state, circuit)
-
-    monkeypatch.setattr(duality, "run_dilation", counting)
-    return calls
-
-
 def test_circuit_keeps_the_readout_of_its_last_input(monkeypatch):
     circuit = build_dilation(PHASE_SLIT)
     state = StateVector(1, [1.0, 0.0])
     p_hit = hit_probability(run_dilation(state, circuit), 1)
-    calls = _count_dilations(monkeypatch)
+    calls = count_dilations(monkeypatch)
     first = circuit.readout(state)
     assert first.p_hit == p_hit
     assert circuit.readout(state) is first  # the same object
@@ -271,12 +226,10 @@ def test_two_circuits_sharing_one_reset_keep_separate_readouts(monkeypatch):
     strategy = Reset(state)
     gates = (PHASE_SLIT, DualityGate(np.array([0.7, 0.3]), (I2, 1j * I2)))
     circuits = tuple(build_dilation(gate) for gate in gates)
-    calls = _count_dilations(monkeypatch)
+    calls = count_dilations(monkeypatch)
     cycles = 0
     for t, k in enumerate((0, 1, 0, 1, 1, 0)):
-        run = run_recycling(state, gates[k], strategy, 50, rng=trial_rng(5, t),
-                            circuit=circuits[k])
-        cycles += run.cycles_used
+        cycles += run_recycling(state, circuits[k], strategy, 50, rng=trial_rng(5, t)).cycles_used
     assert cycles > 6  # some trials missed and went round again
     assert calls == [(circuits[0], state), (circuits[1], state)]
 
@@ -293,16 +246,15 @@ def test_unitary_recovery_reruns_the_dilation_only_for_a_new_state(monkeypatch):
         return real_readout(self, work_state)
 
     monkeypatch.setattr(DilationCircuit, "readout", recording_readout)
-    calls = _count_dilations(monkeypatch)
+    calls = count_dilations(monkeypatch)
     for strategy in (ExactUnitary(exact_recovery(PHASE_SLIT)), Custom(Z)):
         circuit = build_dilation(PHASE_SLIT)
         total_cycles = 0
         starts.clear()
         calls.clear()
         for t in range(20):
-            run = run_recycling(state, PHASE_SLIT, strategy, 50, rng=trial_rng(9, t),
-                                circuit=circuit)
-            total_cycles += run.cycles_used
+            total_cycles += run_recycling(state, circuit, strategy, 50,
+                                          rng=trial_rng(9, t)).cycles_used
         assert len(starts) == total_cycles
         changes = sum(1 for prev, cur in zip([None] + starts, starts) if cur != prev)
         assert len(calls) == changes < total_cycles

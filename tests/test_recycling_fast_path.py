@@ -6,10 +6,12 @@ generator is a rewindable PCG64 ``Generator``; the reference runs the
 dilation and ``conditional_measure`` on every cycle, one scalar draw at a
 time.  Under Reset, ExactUnitary and Custom recovery, with one circuit
 shared across trials, and with generators that take the chunked or the
-scalar path, the two must give the same cycle count, outcome, post-state
-bytes and per-cycle hit probabilities, leave the generator in the same
-state, and raise ``DegenerateBranchError`` at the same draw.
+scalar path, the two must give the same cycle count, outcome and
+post-state bytes, leave the generator in the same state, and raise
+``DegenerateBranchError`` at the same draw.  A bad input is refused before
+the first draw.
 """
+import itertools
 import json
 
 import numpy as np
@@ -24,7 +26,6 @@ from dualsim import (
     DualityGate,
     ExactUnitary,
     Hit,
-    Miss,
     Reset,
     SearchProblem,
     StateVector,
@@ -48,35 +49,39 @@ I2 = np.eye(2, dtype=complex)
 PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
-def reference_loop(state, circuit, max_cycles, rng, recovery=None):
-    """(outcome, cycles, per-cycle hit probabilities), re-measuring every cycle.
+def reference_loop(state, circuit, strategy, max_cycles, rng):
+    """(outcome, cycles), running the dilation and measuring every cycle.
 
-    After a miss the next cycle starts from ``state`` again, or, given a
-    ``recovery`` unitary, from it applied to the miss work amplitudes.
+    After a miss the next cycle starts from the Reset input, or from the
+    recovery unitary applied to the miss work amplitudes.
     """
-    probs = []
     work = state
     for cycle in range(1, max_cycles + 1):
-        full = run_dilation(work, circuit)
-        probs.append(hit_probability(full, circuit.num_aux_qubits))
-        outcome = conditional_measure(full, circuit.num_aux_qubits, rng)
+        outcome = conditional_measure(run_dilation(work, circuit), circuit.num_aux_qubits, rng)
         if isinstance(outcome, Hit):
-            return outcome, cycle, tuple(probs)
-        if recovery is not None:
+            return outcome, cycle
+        if isinstance(strategy, Reset):
+            work = strategy.input
+        else:
             miss_work = outcome.post_state.amplitudes[state.dim:]
-            work = StateVector(state.num_qubits, recovery @ miss_work)
-    return outcome, max_cycles, tuple(probs)
+            work = StateVector(state.num_qubits, strategy.recovery @ miss_work)
+    return outcome, max_cycles
 
 
-def assert_same_run(run, reference):
-    outcome, cycles, probs = reference
+def assert_same_run(state, circuit, strategy, max_cycles, make_rng):
+    """``run_recycling`` and ``reference_loop``, each on a new generator from
+    ``make_rng``: the same cycles, outcome and post-state bytes, and the
+    same final generator state."""
+    fast_rng, ref_rng = make_rng(), make_rng()
+    run = run_recycling(state, circuit, strategy, max_cycles, rng=fast_rng)
+    outcome, cycles = reference_loop(state, circuit, strategy, max_cycles, ref_rng)
     assert run.cycles_used == cycles
     assert type(run.outcome) is type(outcome)
     if isinstance(outcome, Hit):
         assert run.outcome.sampled_index == outcome.sampled_index
     assert run.outcome.post_state.num_qubits == outcome.post_state.num_qubits
     assert run.outcome.post_state.amplitudes.tobytes() == outcome.post_state.amplitudes.tobytes()
-    assert run.per_cycle_hit_prob == probs
+    assert rng_state(fast_rng) == rng_state(ref_rng)
 
 
 def random_gate(num_slits, num_qubits, rng):
@@ -111,12 +116,7 @@ def test_reset_loop_matches_reference(family, num_slits, num_qubits, search_qubi
     # several trials share one Reset and two circuits, as in an experiment;
     # switching the circuit must not reuse the other circuit's readout
     for t, k in enumerate((0, 0, 1, 0)):
-        fast_rng = trial_rng(run_seed, t)
-        ref_rng = trial_rng(run_seed, t)
-        run = run_recycling(state, gates[k], strategy, max_cycles, rng=fast_rng,
-                            circuit=circuits[k])
-        assert_same_run(run, reference_loop(state, circuits[k], max_cycles, ref_rng))
-        assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+        assert_same_run(state, circuits[k], strategy, max_cycles, lambda: trial_rng(run_seed, t))
 
 
 def pcg64_drawing(top_bits, at):
@@ -171,11 +171,8 @@ def test_other_generators_match_reference(kind, num_qubits, marked, run_seed, ma
     gate = search_gate(SearchProblem(num_qubits, frozenset({marked})))
     circuit = build_dilation(gate)
     state = uniform_state(num_qubits)
-    fast_rng = scalar_or_chunked_rng(kind, run_seed, max_cycles + 1)
-    ref_rng = scalar_or_chunked_rng(kind, run_seed, max_cycles + 1)
-    run = run_recycling(state, gate, Reset(state), max_cycles, rng=fast_rng, circuit=circuit)
-    assert_same_run(run, reference_loop(state, circuit, max_cycles, ref_rng))
-    assert rng_state(fast_rng) == rng_state(ref_rng)
+    assert_same_run(state, circuit, Reset(state), max_cycles,
+                    lambda: scalar_or_chunked_rng(kind, run_seed, max_cycles + 1))
 
 
 def exactly_recoverable_gate(num_qubits, rng):
@@ -206,12 +203,7 @@ def test_unitary_recovery_loop_matches_reference(recovery, num_qubits, gate_seed
     # one circuit across the trials: a trial may start on the readout the
     # previous trial left kept on it
     for t in range(4):
-        fast_rng = trial_rng(run_seed, t)
-        ref_rng = trial_rng(run_seed, t)
-        run = run_recycling(state, gate, strategy, max_cycles, rng=fast_rng, circuit=circuit)
-        assert_same_run(run, reference_loop(state, circuit, max_cycles, ref_rng,
-                                            strategy.recovery))
-        assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+        assert_same_run(state, circuit, strategy, max_cycles, lambda: trial_rng(run_seed, t))
 
 
 @settings(max_examples=20, deadline=None)
@@ -221,15 +213,26 @@ def test_reset_from_a_different_input_matches_reference(gate_seed, run_seed):
     rng = np.random.default_rng(gate_seed)
     gate = random_gate(2, 1, rng)
     first, stored = random_state(1, rng), random_state(1, rng)
+    assert_same_run(first, build_dilation(gate), Reset(stored), 30,
+                    lambda: np.random.default_rng(run_seed))
+
+
+def test_bad_input_fails_before_any_draw():
+    # the first cycle's run_dilation refuses it; the readout the circuit
+    # keeps stays, and valid runs afterwards match the reference
+    state = basis_state(1, 0)
+    gate = DualityGate(np.array([0.5, 0.5]), (I2, 1j * I2))
     circuit = build_dilation(gate)
-    fast_rng, ref_rng = np.random.default_rng(run_seed), np.random.default_rng(run_seed)
-    run = run_recycling(first, gate, Reset(stored), 30, rng=fast_rng, circuit=circuit)
-    outcome, cycles, probs = reference_loop(first, circuit, 1, ref_rng)
-    if isinstance(outcome, Miss):
-        outcome, more, rest = reference_loop(stored, circuit, 29, ref_rng)
-        cycles, probs = 1 + more, probs + rest
-    assert_same_run(run, (outcome, cycles, probs))
-    assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+    kept = circuit.readout(state)
+    strategies = (Reset(state), ExactUnitary(exact_recovery(gate)), Custom(I2))
+    for bad, strategy, max_cycles in itertools.product(
+            (StateVector(1, [0.6, 0.0]), basis_state(2, 0)), strategies, (None, 8)):
+        rng = FixedRandom([0.99, 0.5])
+        with pytest.raises(ValueError):
+            run_recycling(bad, circuit, strategy, max_cycles, rng=rng)
+        assert rng.draws == 0 and circuit.readout(state) is kept
+    for strategy in strategies:
+        assert_same_run(state, circuit, strategy, 8, lambda: trial_rng(11, 0))
 
 
 def _draws_until_error(loop, rng):
@@ -248,9 +251,9 @@ def test_degenerate_hit_raises_at_the_same_draw(misses, real):
     make = (lambda: pcg64_drawing(0, misses + 1)) if real else (
         lambda: FixedRandom([0.5] * misses + [0.0]))
     fast = _draws_until_error(
-        lambda rng: run_recycling(state, gate, Reset(state), 100, rng=rng, circuit=circuit),
-        make())
-    ref = _draws_until_error(lambda rng: reference_loop(state, circuit, 100, rng), make())
+        lambda rng: run_recycling(state, circuit, Reset(state), 100, rng=rng), make())
+    ref = _draws_until_error(
+        lambda rng: reference_loop(state, circuit, Reset(state), 100, rng), make())
     assert fast == ref
     assert ref[1] == "hit branch has vanishing norm; cannot normalize"
     if real:  # stopped right after the 0.0 draw, whose state is 0
@@ -276,9 +279,9 @@ def test_degenerate_miss_raises_at_the_same_draw():
     for make, stopped_at in ((lambda: FixedRandom([np.nextafter(1.0, 0.0)]), 1),
                              (lambda: pcg64_drawing(top, 1), None)):
         fast = _draws_until_error(
-            lambda rng: run_recycling(state, gate, Reset(state), 100, rng=rng, circuit=circuit),
-            make())
-        ref = _draws_until_error(lambda rng: reference_loop(state, circuit, 100, rng), make())
+            lambda rng: run_recycling(state, circuit, Reset(state), 100, rng=rng), make())
+        ref = _draws_until_error(
+            lambda rng: reference_loop(state, circuit, Reset(state), 100, rng), make())
         assert fast == ref
         assert ref[1] == "miss branch has vanishing norm; cannot normalize"
         if stopped_at is None:  # just past that draw, whose state is top << 11

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import FixedRandom, global_phase_dev
+from conftest import FixedRandom, count_dilations, global_phase_dev
 from dualsim import (
     Exhausted,
     Hit,
@@ -14,6 +14,7 @@ from dualsim import (
     aux_zero_block,
     basis_state,
     build_dilation,
+    conditional_measure,
     duality_search_step,
     grover_iterate,
     grover_oracle,
@@ -89,6 +90,24 @@ def test_duality_search_step_marked_input_always_hits():
         out = duality_search_step(basis_state(3, 5), p, np.random.default_rng(seed))
         assert isinstance(out, Hit)
         assert out.sampled_index == 5
+
+
+def test_duality_search_step_on_one_state_runs_the_dilation_once(monkeypatch):
+    # the problem's circuit keeps the readout of its last state, and every
+    # step draws from it exactly as a fresh dilation and measurement would
+    p = problem(5, 6, 19)
+    state = random_state(5, np.random.default_rng(2718))  # no other test keeps this input
+    circuit = build_dilation(search_gate(p))
+    ref_rng, rng = np.random.default_rng(31), np.random.default_rng(31)
+    expected = [conditional_measure(run_dilation(state, circuit), 1, ref_rng) for _ in range(300)]
+    calls = count_dilations(monkeypatch)
+    outcomes = [duality_search_step(state, p, rng) for _ in range(300)]
+    assert len(calls) == 1 and {type(out) for out in expected} == {Hit, Miss}
+    for out, want in zip(outcomes, expected):
+        assert type(out) is type(want)
+        assert getattr(out, "sampled_index", None) == getattr(want, "sampled_index", None)
+        assert out.post_state.amplitudes.tobytes() == want.post_state.amplitudes.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_grover_iterate_examples():
