@@ -25,6 +25,7 @@ from .statevec import (
     validate_operator,
 )
 from .duality import (
+    MAX_DENSE_BYTES,
     BranchState,
     DegenerateBranchError,
     DilationCircuit,
@@ -32,7 +33,9 @@ from .duality import (
     Hit,
     MeasurementOutcome,
     Miss,
+    PhaseDiagonal,
     Readout,
+    SlitOperator,
     apply_duality_gate,
     apply_per_slit,
     as_slit_weights,
@@ -86,6 +89,7 @@ from .circuit import (
     CircuitResult,
     CircuitSpec,
     CircuitSyntaxError,
+    GateSequence,
     parse_circuit,
     run_circuit,
     serialize_circuit,

@@ -22,8 +22,6 @@ Semantics: a duality block without cmeasure applies the weighted sum of its
 slit unitaries directly, so the state may come out unnormalized (that is
 the point of a duality gate); with cmeasure the block runs as a dilation
 circuit on work + auxiliary qubits followed by the hit/miss readout.
-Explicit slit matrices are built column by column, so duality blocks are
-capped at MAX_DUALITY_WORK_QUBITS work qubits.
 """
 from __future__ import annotations
 
@@ -35,14 +33,13 @@ from .duality import (
     WEIGHT_SUM_TOL,
     DualityGate,
     MeasurementOutcome,
+    SlitOperator,
     apply_duality_gate,
     build_dilation,
+    dense_operator_buffer,
 )
-from .statevec import (StateVector, apply_operator, basis_state, controlled_apply,
-                       invert_about_mean, oracle_phases, uniform_state)
-
-#: Explicit slit matrices above this register size are refused.
-MAX_DUALITY_WORK_QUBITS = 10
+from .statevec import (StateVector, apply_operator, basis_state, checked_unitary,
+                       controlled_apply, invert_about_mean, oracle_phases, uniform_state)
 
 _SINGLE_QUBIT_GATES = {
     "h": np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2),
@@ -306,24 +303,47 @@ def _apply_gate(state: StateVector, instr: GateInstr) -> StateVector:
     raise ValueError(f"unknown gate {name!r}")
 
 
-def _slit_unitary(gates: tuple[GateInstr, ...], num_qubits: int) -> np.ndarray:
-    """Compose a slit's gate lines into an explicit matrix, column by column."""
-    dim = 1 << num_qubits
-    mat = np.empty((dim, dim), dtype=np.complex128)
-    for c in range(dim):
-        st = basis_state(num_qubits, c)
-        for g in gates:
-            st = _apply_gate(st, g)
-        mat[:, c] = st.amplitudes
-    return mat
+def _check_gate(gate: GateInstr, what: str) -> None:
+    """ValueError unless ``gate`` is a known gate whose own operator is unitary.
+    Its qubits are checked by the kernel, as on the plain circuit path."""
+    name = gate.name
+    if name in _SINGLE_QUBIT_GATES or name == "cx":
+        checked_unitary(_SINGLE_QUBIT_GATES["x" if name == "cx" else name], what)
+    elif name not in ("oracle", "diffusion"):  # ±1 phases and 2|s><s| - I: unitary as built
+        raise ValueError(f"{what}: unknown gate {name!r}")
+
+
+class GateSequence(SlitOperator):
+    """A slit given by circuit gate lines, applied one gate at a time by the
+    same kernel as a plain circuit; each gate is checked once, when built."""
+
+    __slots__ = ("gates", "num_qubits")
+
+    def __init__(self, gates, num_qubits: int):
+        self.gates = tuple(gates)
+        self.num_qubits = num_qubits
+        self.shape = (1 << num_qubits, 1 << num_qubits)
+        for i, g in enumerate(self.gates):
+            _check_gate(g, f"slit gate {i} ({g.name})")
+
+    def __matmul__(self, vector):
+        state = StateVector(self.num_qubits, vector)
+        for g in self.gates:
+            state = _apply_gate(state, g)
+        return state.amplitudes
+
+    def dense(self) -> np.ndarray:
+        """The explicit matrix, built column by column from the basis states."""
+        mat = dense_operator_buffer(self.shape[0])
+        for c in range(self.shape[0]):
+            mat[:, c] = self @ basis_state(self.num_qubits, c).amplitudes
+        return mat
 
 
 def duality_gate_of(instr: DualityInstr, num_qubits: int) -> DualityGate:
-    """Build the DualityGate a block stands for on the full work register."""
-    if num_qubits > MAX_DUALITY_WORK_QUBITS:
-        raise ValueError(
-            f"duality blocks support at most {MAX_DUALITY_WORK_QUBITS} work qubits, circuit has {num_qubits}")
-    unitaries = tuple(_slit_unitary(g, num_qubits) for g in instr.slit_gates)
+    """Build the DualityGate a block stands for on the full work register:
+    one ``GateSequence`` slit per slit section."""
+    unitaries = tuple(GateSequence(g, num_qubits) for g in instr.slit_gates)
     return DualityGate(np.array(instr.weights), unitaries)
 
 

@@ -40,6 +40,10 @@ from .search import SearchProblem, repetition_curve, run_search_experiment, sear
 from .statevec import basis_state, format_matrix_text, norm, parse_matrix_text, uniform_state
 
 
+#: Amplitude rows ``simulate`` formats and prints at a time.
+_AMPLITUDE_ROWS_PER_WRITE = 1 << 16
+
+
 def _fmt(x) -> str:
     """Output float format: >= 12 significant digits and exact round-trip."""
     return format(float(x), ".17g")
@@ -228,11 +232,12 @@ def cmd_simulate(args, argv: list[str]) -> int:
     lines = _comment_header(args.seed, argv)
     lines.append(f"# {outcome_line}")
     lines.append("index,re,im")
-    for i, a in enumerate(result.state.amplitudes.tolist()):
-        re, im = _fmt(a.real), _fmt(a.imag)
-        print(f"{i} {re} {im}")
-        if args.out is not None:
-            lines.append(f"{i},{re},{im}")
+    amps = result.state.amplitudes
+    for start in range(0, amps.size, _AMPLITUDE_ROWS_PER_WRITE):
+        chunk = amps[start:start + _AMPLITUDE_ROWS_PER_WRITE].tolist()
+        rows = "\n".join(f"{i},{_fmt(a.real)},{_fmt(a.imag)}" for i, a in enumerate(chunk, start))
+        sys.stdout.write(rows.replace(",", " ") + "\n")  # no number has a comma
+        lines.append(rows)
     if args.out is not None:
         _write_text(args.out, "\n".join(lines) + "\n")
     return 0

@@ -10,6 +10,13 @@ unitary circuit on work + auxiliary qubits.  ``conditional_measure``
 performs the post-selected readout: a Hit keeps the normalized aux=0 work
 state and samples one basis index from it, a Miss removes the aux=0
 component and returns the normalized complement.
+
+A slit is one of three kinds, and both routes apply each one as ``u @ v``:
+a dense matrix (a plain ndarray, as given), a ``PhaseDiagonal``, or another
+``SlitOperator`` subclass such as the circuit format's gate sequence.  Only
+code that needs an explicit matrix asks for one, through
+``DualityGate.dense_unitaries``, and a structured slit refuses to build one
+above ``MAX_DENSE_BYTES``.
 """
 from __future__ import annotations
 
@@ -19,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .statevec import (
+    DEFAULT_UNITARY_TOL,
     StateVector,
     _fresh_state,
     checked_unitary,
@@ -33,6 +41,8 @@ DEGENERATE_BRANCH_TOL = 1e-14
 #: Largest array of branch draws ``Readout.measure_until_hit`` takes at once.
 _MAX_DRAW_CHUNK = 1 << 16
 _PCG64_PERIOD = 1 << 128
+#: Largest explicit N×N complex matrix a structured slit builds: 64 MiB, N = 2**11.
+MAX_DENSE_BYTES = 1 << 26
 
 
 class DegenerateBranchError(RuntimeError):
@@ -63,6 +73,70 @@ def _weighted_sum(coefficients, operators) -> np.ndarray:
     return out
 
 
+def dense_bytes(dim: int) -> int:
+    """Bytes of an explicit dim×dim complex128 matrix."""
+    return 16 * dim * dim
+
+
+def dense_operator_buffer(dim: int) -> np.ndarray:
+    """Zeroed dim×dim complex matrix; ``ValueError`` before allocating when it
+    would exceed ``MAX_DENSE_BYTES``."""
+    need = dense_bytes(dim)
+    if need > MAX_DENSE_BYTES:
+        raise ValueError(f"an explicit {dim}x{dim} matrix needs {need} bytes, "
+                         f"above the {MAX_DENSE_BYTES}-byte limit")
+    return np.zeros((dim, dim), dtype=np.complex128)
+
+
+class SlitOperator:
+    """A unitary slit held in structured form instead of as an N×N matrix.
+
+    A subclass checks its own unitarity when built, sets ``shape`` to
+    (N, N), applies itself to a length-N vector with ``op @ vector`` (a new
+    array) and builds its explicit matrix with ``dense()``, which allocates
+    through ``dense_operator_buffer``.
+    """
+
+    __slots__ = ("shape",)
+
+    def dense(self) -> np.ndarray:
+        raise NotImplementedError
+
+    def __matmul__(self, vector):
+        raise NotImplementedError
+
+
+class PhaseDiagonal(SlitOperator):
+    """Diagonal unitary diag(phases), applied as an entrywise product: the
+    search oracle and the identity slit."""
+
+    __slots__ = ("phases",)
+
+    def __init__(self, phases):
+        d = np.array(phases, dtype=np.complex128)
+        if d.ndim != 1 or not np.isfinite(d).all():
+            raise ValueError(f"phases must be a finite 1-D vector, got shape {d.shape}")
+        if d.size and float(np.abs(np.abs(d) ** 2 - 1.0).max()) > DEFAULT_UNITARY_TOL:
+            raise ValueError(f"phase diagonal is not unitary within {DEFAULT_UNITARY_TOL}")
+        d.setflags(write=False)
+        self.phases = d
+        self.shape = (d.size, d.size)
+
+    def __matmul__(self, vector):
+        return self.phases * vector
+
+    def dense(self) -> np.ndarray:
+        mat = dense_operator_buffer(self.phases.size)
+        mat.flat[:: self.phases.size + 1] = self.phases
+        return mat
+
+
+def _checked_slit(u, what: str):
+    """A slit as kept by a gate: structured slits as they are (they checked
+    themselves when built), anything else as a ``checked_unitary`` matrix."""
+    return u if isinstance(u, SlitOperator) else checked_unitary(u, what)
+
+
 @dataclass(frozen=True)
 class BranchState:
     """Direct-sum form: ordered (weight, normalized sub-wave) pairs."""
@@ -90,14 +164,19 @@ class BranchState:
 
 @dataclass(frozen=True)
 class DualityGate:
-    """Slit weights p_i plus one unitary per slit; stands for sum_i p_i U_i."""
+    """Slit weights p_i plus one unitary per slit; stands for sum_i p_i U_i.
+
+    A slit is a matrix (kept as a checked, frozen complex ndarray) or a
+    ``SlitOperator``, kept as it is.
+    """
 
     weights: np.ndarray
-    unitaries: tuple[np.ndarray, ...]
+    unitaries: tuple[np.ndarray | SlitOperator, ...]
 
     def __post_init__(self):
         w = as_slit_weights(self.weights)
-        us = tuple(validate_operator(u) for u in self.unitaries)
+        us = tuple(u if isinstance(u, SlitOperator) else validate_operator(u)
+                   for u in self.unitaries)
         if len(us) != w.size:
             raise ValueError(f"{w.size} weights but {len(us)} unitaries")
         dims = {u.shape[0] for u in us}
@@ -108,7 +187,7 @@ class DualityGate:
             raise ValueError(f"slit unitary dim {dim} is not a power of 2")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "unitaries",
-                           tuple(checked_unitary(u, f"slit operator {i}") for i, u in enumerate(us)))
+                           tuple(_checked_slit(u, f"slit operator {i}") for i, u in enumerate(us)))
 
     @property
     def num_slits(self) -> int:
@@ -122,9 +201,14 @@ class DualityGate:
     def num_qubits(self) -> int:
         return self.dim.bit_length() - 1
 
+    def dense_unitaries(self) -> tuple[np.ndarray, ...]:
+        """Every slit as an explicit matrix; a structured slit's ``dense()``
+        refuses above ``MAX_DENSE_BYTES`` before allocating."""
+        return tuple(u.dense() if isinstance(u, SlitOperator) else u for u in self.unitaries)
+
     def matrix(self) -> np.ndarray:
         """The assembled (generally non-unitary) matrix sum_i p_i U_i."""
-        return _weighted_sum(self.weights, self.unitaries)
+        return _weighted_sum(self.weights, self.dense_unitaries())
 
 
 def divide(state: StateVector, weights) -> BranchState:
@@ -136,8 +220,9 @@ def divide(state: StateVector, weights) -> BranchState:
 
 
 def apply_per_slit(branch: BranchState, unitaries) -> BranchState:
-    """Apply ``unitaries[i]`` to sub-wave i; weights are untouched."""
-    us = [validate_operator(u) for u in unitaries]
+    """Apply ``unitaries[i]`` (a matrix or a ``SlitOperator``) to sub-wave i;
+    weights are untouched."""
+    us = [u if isinstance(u, SlitOperator) else validate_operator(u) for u in unitaries]
     if len(us) != len(branch.branches):
         raise ValueError(f"{len(branch.branches)} branches but {len(us)} unitaries")
     dim = 1 << branch.num_qubits
@@ -145,7 +230,7 @@ def apply_per_slit(branch: BranchState, unitaries) -> BranchState:
     for i, ((p, wave), u) in enumerate(zip(branch.branches, us)):
         if u.shape[0] != dim:
             raise ValueError(f"slit operator {i} has dim {u.shape[0]}, expected {dim}")
-        u = checked_unitary(u, f"slit operator {i}")
+        u = _checked_slit(u, f"slit operator {i}")
         new.append((p, StateVector(wave.num_qubits, u @ wave.amplitudes)))
     return BranchState(tuple(new))
 
@@ -222,7 +307,7 @@ class DilationCircuit:
         """The operator the aux=0 block applies to the work register."""
         coeffs = self.effective_coefficients()
         m = self.gate.num_slits
-        out = _weighted_sum(coeffs[:m], self.gate.unitaries)
+        out = _weighted_sum(coeffs[:m], self.gate.dense_unitaries())
         out.flat[:: out.shape[0] + 1] += coeffs[m:].sum()  # padding slots are the identity
         return out
 
@@ -295,7 +380,7 @@ def run_dilation(work_state: StateVector, circuit: DilationCircuit) -> StateVect
     blocks[0] = work_state.amplitudes
     blocks = circuit.prepare @ blocks
     for i, u in enumerate(circuit.gate.unitaries):
-        blocks[i] = u @ blocks[i]  # the padding blocks pass through: identity slots
+        blocks[i] = u @ blocks[i]  # any slit kind; the padding blocks pass through: identity slots
     blocks = circuit.combine @ blocks
     return _fresh_state(circuit.total_qubits, np.ascontiguousarray(blocks).reshape(-1))
 

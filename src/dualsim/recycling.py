@@ -94,11 +94,13 @@ def exact_recovery(gate: DualityGate, tol: float = DEFAULT_UNITARY_TOL) -> np.nd
     When M†M = c I within ``tol`` and c > 0, V = M†/sqrt(c) is unitary and
     V (M/sqrt(c)) = I, so V maps the normalized miss state back onto the
     input.  Returns None for other slit counts or when M is not
-    proportional to a unitary (e.g. the search-oracle gate).
+    proportional to a unitary (e.g. the search-oracle gate).  Needs the
+    slits as explicit matrices (``DualityGate.dense_unitaries``).
     """
     if gate.num_slits != 2:
         return None
-    m = gate.weights[0] * gate.unitaries[0] - gate.weights[1] * gate.unitaries[1]
+    u0, u1 = gate.dense_unitaries()
+    m = gate.weights[0] * u0 - gate.weights[1] * u1
     gram = m.conj().T @ m
     c = float(np.mean(np.diag(gram)).real)
     if c <= DEGENERATE_BRANCH_TOL:

@@ -20,6 +20,7 @@ from .duality import (
     DilationCircuit,
     DualityGate,
     MeasurementOutcome,
+    PhaseDiagonal,
     build_dilation,
 )
 from .rand import trial_rngs
@@ -95,13 +96,14 @@ def grover_oracle(problem: SearchProblem) -> np.ndarray:
 
 
 def search_gate(problem: SearchProblem) -> DualityGate:
-    """The symmetric 2-slit gate {oracle/2, identity/2}.
+    """The symmetric 2-slit gate {oracle/2, identity/2}, both slits phase
+    diagonals (O(N) memory and work).
 
     Its assembled sum (oracle + I)/2 is the projector onto the marked
     subspace, for any input state.
     """
-    eye = np.eye(problem.size, dtype=np.complex128)
-    return DualityGate(np.array([0.5, 0.5]), (oracle_unitary(problem), eye))
+    oracle = PhaseDiagonal(oracle_phases(problem.size, problem.marked))
+    return DualityGate(np.array([0.5, 0.5]), (oracle, PhaseDiagonal(np.ones(problem.size))))
 
 
 @lru_cache(maxsize=64)

@@ -275,7 +275,19 @@ def parse_matrix_text(text: str) -> np.ndarray:
 
 
 def format_matrix_text(mat) -> str:
-    """Render a matrix in the text format; round-trips exactly through parse."""
+    """Render a matrix in the text format; round-trips exactly through parse.
+
+    Each entry reads as ``format_complex_literal`` writes it.  The reals and
+    the imaginary magnitudes are rendered by one ``repr`` of a float list
+    each, and the imaginary signs (``-0.0`` included) come from ``np.signbit``.
+    """
     m = validate_operator(mat)
-    rows = [" ".join(format_complex_literal(z) for z in row) for row in m]
-    return "\n".join([str(m.shape[0])] + rows) + "\n"
+    dim = m.shape[0]
+    reals = repr(m.real.ravel().tolist())[1:-1].split(", ")
+    imags = repr(np.abs(m.imag).ravel().tolist())[1:-1].split(", ")
+    negative = np.signbit(m.imag).ravel()
+    bare = ((m.imag.ravel() == 0.0) & ~negative).tolist()
+    entries = [re if plain else f"{re}{'-' if neg else '+'}{im}i"
+               for re, im, neg, plain in zip(reals, imags, negative.tolist(), bare)]
+    rows = [" ".join(entries[r * dim:(r + 1) * dim]) for r in range(dim)]
+    return "\n".join([str(dim)] + rows) + "\n"

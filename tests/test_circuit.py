@@ -1,18 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualsim import (
     CircuitSyntaxError,
+    GateSequence,
     Hit,
     Miss,
     basis_state,
+    is_unitary,
     norm,
     parse_circuit,
     run_circuit,
     serialize_circuit,
     uniform_state,
 )
-from dualsim.circuit import DualityInstr, GateInstr, InitInstr
+from dualsim.circuit import DualityInstr, GateInstr, InitInstr, _apply_gate, duality_gate_of
 
 SQ2 = 1.0 / np.sqrt(2)
 
@@ -160,3 +164,56 @@ def test_three_slit_circuit_matches_direct_sum():
     m = 0.5 * z + 0.25 * x + 0.25 * np.eye(2)
     want = m @ uniform_state(1).amplitudes
     assert np.abs(res.state.amplitudes - want).max() <= 1e-12
+
+
+def column_by_column(gates, num_qubits):
+    """Reference: a slit's gate lines composed into an explicit matrix, one
+    basis column at a time."""
+    dim = 1 << num_qubits
+    mat = np.empty((dim, dim), dtype=np.complex128)
+    for c in range(dim):
+        state = basis_state(num_qubits, c)
+        for g in gates:
+            state = _apply_gate(state, g)
+        mat[:, c] = state.amplitudes
+    return mat
+
+
+GATE_LINES = st.one_of(
+    st.tuples(st.sampled_from("hxyzst"), st.integers(0, 3)).map(lambda t: (t[0], (t[1],))),
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda t: t[0] != t[1])
+    .map(lambda t: ("cx", t)),
+    st.sets(st.integers(0, 15), min_size=1, max_size=3).map(lambda s: ("oracle", tuple(sorted(s)))),
+    st.just(("diffusion", ())),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(lines=st.lists(GATE_LINES, max_size=8), n=st.integers(1, 4))
+def test_gate_sequence_dense_matches_the_column_by_column_matrix(lines, n):
+    gates = [GateInstr(name, args) for name, args in lines
+             if all(0 <= a < (1 << n if name == "oracle" else n) for a in args)]
+    seq = GateSequence(gates, n)
+    mat = seq.dense()
+    assert is_unitary(mat)
+    assert mat.tobytes() == column_by_column(gates, n).tobytes()
+    psi = np.random.default_rng(len(gates)).standard_normal((1 << n, 2)) @ [1, 1j]
+    assert np.abs(seq @ psi - mat @ psi).max() <= 1e-14
+
+
+def test_duality_blocks_run_past_ten_work_qubits():
+    # 12 work qubits: the slits are gate sequences, never explicit matrices
+    n = 12
+    slit0 = "h 0\ncx 0 11\nt 11\n"
+    slit1 = "x 5\ns 0\n"
+    block = f"duality 2\nweights 0.25 0.75\nslit 0\n{slit0}slit 1\n{slit1}endduality\n"
+    spec = parse_circuit(f"qubits {n}\ninit uniform\nh 3\n" + block)
+    assert all(isinstance(u, GateSequence) for u in duality_gate_of(spec.instructions[-1], n).unitaries)
+    got = run_circuit(spec).state.amplitudes
+    ways = [run_circuit(parse_circuit(f"qubits {n}\ninit uniform\nh 3\n" + s)).state.amplitudes
+            for s in (slit0, slit1)]
+    assert np.abs(got - (0.25 * ways[0] + 0.75 * ways[1])).max() <= 1e-15
+    res = run_circuit(parse_circuit(f"qubits {n}\ninit uniform\nh 3\n" + block + "cmeasure\n"),
+                      rng=np.random.default_rng(5))
+    assert res.state.num_qubits in (n, n + 1)
+    assert abs(norm(res.state) - 1.0) <= 1e-12

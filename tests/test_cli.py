@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -300,3 +301,79 @@ def test_cli_import_loads_numpy_and_the_stdlib_only():
                           timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+#: Runs the command given after the output path as the only child of a fresh
+#: interpreter, so RUSAGE_CHILDREN's peak RSS is that command's alone.
+_MEASURED_RUN = textwrap.dedent("""
+    import resource, subprocess, sys, time
+    start = time.perf_counter()
+    with open(sys.argv[1], "wb") as out:
+        done = subprocess.run(sys.argv[2:], stdout=out, stderr=subprocess.PIPE, timeout=120)
+    wall = time.perf_counter() - start
+    peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    print(done.returncode, wall, peak_mb)
+    sys.stderr.buffer.write(done.stderr)
+""")
+
+#: Every 20-qubit command below must finish within this wall time and peak RSS.
+LARGE_WALL_S = 5.0
+LARGE_PEAK_MB = 300.0
+
+#: 20 work qubits, a two-slit block of gate lines read out by cmeasure.  Both
+#: slits map the uniform input to itself (x, cx and the h pair permute or
+#: undo; t eight times is the identity), so the block hits for every seed and
+#: the output holds 2**20 amplitude rows; a miss would print 2**21.
+LARGE_CIRCUIT = "\n".join(
+    ["qubits 20", "init uniform", "duality 2", "weights 0.375 0.625",
+     "slit 0", "x 0", "cx 0 19", "h 7", "cx 3 11", "h 7",
+     "slit 1", "x 19", *["t 5"] * 8, "cx 12 2",
+     "endduality", "cmeasure"]) + "\n"
+
+
+def run_measured(tmp_path, argv):
+    """(exit code, wall s, peak RSS MB, stderr) of ``python -m dualsim.cli argv``."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _MEASURED_RUN, str(tmp_path / "stdout"),
+                           sys.executable, "-m", "dualsim.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=180)
+    assert done.returncode == 0, done.stderr
+    code, wall, peak_mb = done.stdout.split()
+    return int(code), float(wall), float(peak_mb), done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--n", "20", "--marked", "12345", "--j", "0", "--trials", "10", "--seed", "1"],
+    ["recycle", "--gate", "search", "--n", "20", "--marked", "12345", "--recovery", "reset",
+     "--trials", "10", "--seed", "1"],
+    ["simulate", "--circuit", "{circuit}", "--seed", "1"],
+], ids=["search", "recycle", "simulate"])
+def test_twenty_qubit_commands_finish_in_seconds(tmp_path, argv):
+    circuit = tmp_path / "large.qc"
+    circuit.write_text(LARGE_CIRCUIT)
+    out = tmp_path / "out.csv"
+    argv = [a.replace("{circuit}", str(circuit)) for a in argv] + ["--out", str(out)]
+    code, wall, peak_mb, stderr = run_measured(tmp_path, argv)
+    assert code == 0, stderr
+    assert wall < LARGE_WALL_S and peak_mb < LARGE_PEAK_MB, (wall, peak_mb)
+    lines = (tmp_path / "stdout").read_text().splitlines()
+    if argv[0] == "simulate":
+        assert lines[0].startswith("outcome hit ") and lines[1] == "qubits 20"
+        assert len(body_of(out)) == 1 + (1 << 20)
+    else:
+        assert lines[0].startswith("trials=10 hits=")
+
+
+def test_exact_recovery_on_a_large_search_gate_fails_fast(tmp_path):
+    # the recovery needs explicit 2**16 x 2**16 slits (64 GiB): refused before allocating
+    out = tmp_path / "r.csv"
+    code, wall, peak_mb, stderr = run_measured(
+        tmp_path, ["recycle", "--gate", "search", "--n", "16", "--marked", "3",
+                   "--recovery", "exact", "--trials", "1", "--out", str(out)])
+    assert code == 1 and wall < LARGE_WALL_S and peak_mb < LARGE_PEAK_MB
+    assert stderr.splitlines() == [
+        "error: ValueError: an explicit 65536x65536 matrix needs 68719476736 bytes, "
+        "above the 67108864-byte limit"]
+    assert not out.exists()

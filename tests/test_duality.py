@@ -3,15 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FixedRandom
 from dualsim import (
+    MAX_DENSE_BYTES,
     BranchState,
     DegenerateBranchError,
     DilationCircuit,
     DualityGate,
+    GateSequence,
     Hit,
     Miss,
+    PhaseDiagonal,
     StateVector,
     apply_duality_gate,
     apply_per_slit,
@@ -31,6 +36,8 @@ from dualsim import (
     uniform_state,
     unitary_completion,
 )
+from dualsim.circuit import GateInstr
+from dualsim.duality import dense_bytes
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -219,7 +226,7 @@ def brute_force_dilation(circ, psi):
     d = psi.dim
     eye = np.eye(d)
     dim_aux = circ.prepare.shape[0]
-    slits = list(circ.gate.unitaries) + [eye] * (dim_aux - circ.gate.num_slits)
+    slits = list(circ.gate.dense_unitaries()) + [eye] * (dim_aux - circ.gate.num_slits)
     select = np.zeros((dim_aux * d, dim_aux * d), dtype=complex)
     for i, u in enumerate(slits):
         select[i * d:(i + 1) * d, i * d:(i + 1) * d] = u
@@ -312,23 +319,91 @@ def test_run_dilation_frozen_example():
     assert abs(norm(full) - 1.0) < 1e-12
 
 
-def test_dilation_equivalence_property():
-    rng = np.random.default_rng(31)
-    worst = 0.0
-    count = 0
-    for m in (2, 3, 4, 5, 7):
-        for _ in range(34):
-            n = int(rng.integers(1, 5))
-            gate = random_gate(m, n, rng)
-            psi = random_state(n, rng)
-            full = run_dilation(psi, build_dilation(gate))
-            direct = apply_duality_gate(psi, gate)
-            block = aux_zero_block(full, full.num_qubits - n)
-            worst = max(worst, float(np.abs(block.amplitudes - direct.amplitudes).max()))
-            assert abs(norm(full) - 1.0) <= 1e-12
-            count += 1
-    assert count >= 100
-    assert worst <= 1e-10
+SLIT_KINDS = ("dense", "phase", "gates")
+GATE_NAMES = ("h", "x", "y", "z", "s", "t", "cx", "oracle", "diffusion")
+
+
+def random_gate_line(n, rng):
+    names = GATE_NAMES if n > 1 else tuple(g for g in GATE_NAMES if g != "cx")
+    name = names[int(rng.integers(len(names)))]
+    if name == "cx":
+        return GateInstr(name, tuple(int(q) for q in rng.permutation(n)[:2]))
+    if name == "oracle":
+        return GateInstr(name, tuple(int(i) for i in rng.permutation(1 << n)[:int(rng.integers(1, 4))]))
+    if name == "diffusion":
+        return GateInstr(name, ())
+    return GateInstr(name, (int(rng.integers(n)),))
+
+
+def random_slit(kind, n, rng):
+    """A random unitary slit of the given kind on n qubits."""
+    if kind == "dense":
+        return random_unitary(1 << n, rng)
+    if kind == "phase":
+        return PhaseDiagonal(np.exp(2j * np.pi * rng.random(1 << n)))
+    return GateSequence([random_gate_line(n, rng) for _ in range(int(rng.integers(0, 6)))], n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kinds=st.lists(st.sampled_from(SLIT_KINDS), min_size=2, max_size=7),
+       n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_dilation_equivalence_property(kinds, n, seed):
+    # dilation == direct route for every slit kind, and both equal the dense matrices
+    rng = np.random.default_rng(seed)
+    weights = rng.random(len(kinds)) + 0.05
+    gate = DualityGate(weights / weights.sum(), tuple(random_slit(k, n, rng) for k in kinds))
+    psi = random_state(n, rng)
+    circ = build_dilation(gate)
+    full = run_dilation(psi, circ)
+    direct = apply_duality_gate(psi, gate)
+    block = aux_zero_block(full, circ.num_aux_qubits)
+    assert abs(norm(full) - 1.0) <= 1e-12
+    assert np.abs(block.amplitudes - direct.amplitudes).max() <= 1e-10
+    assert np.abs(direct.amplitudes - gate.matrix() @ psi.amplitudes).max() <= 1e-12
+    assert np.abs(full.amplitudes - brute_force_dilation(circ, psi)).max() <= 1e-12
+    composed = combine(apply_per_slit(divide(psi, gate.weights), gate.unitaries))
+    assert np.abs(composed.amplitudes - direct.amplitudes).max() <= 1e-12
+
+
+def test_structured_slits_are_kept_and_checked_when_built():
+    phase = PhaseDiagonal([1, 1j, -1, -1j])
+    seq = GateSequence([GateInstr("h", (0,)), GateInstr("cx", (0, 1))], 2)
+    gate = DualityGate(np.array([0.5, 0.5]), (phase, seq))
+    assert gate.unitaries[0] is phase and gate.unitaries[1] is seq
+    assert gate.dim == 4 and gate.num_qubits == 2
+    for slit in gate.dense_unitaries():
+        assert is_unitary(slit)
+    assert np.array_equal(phase.dense(), np.diag([1, 1j, -1, -1j]))
+    with pytest.raises(ValueError, match="phase diagonal is not unitary"):
+        PhaseDiagonal([1.0, 0.5])
+    with pytest.raises(ValueError, match="unknown gate"):
+        GateSequence([GateInstr("frobnicate", (0,))], 1)
+    with pytest.raises(ValueError, match="share one dimension"):
+        DualityGate(np.array([0.5, 0.5]), (phase, I2))
+
+
+def test_dense_size_estimate_and_limit():
+    assert dense_bytes(1 << 11) == 16 << 22 == MAX_DENSE_BYTES
+    assert dense_bytes(1 << 12) == 4 * MAX_DENSE_BYTES
+    assert PhaseDiagonal(np.ones(1 << 11)).dense().nbytes == MAX_DENSE_BYTES
+
+
+def test_dense_refuses_before_allocating(monkeypatch):
+    # above the limit every explicit-matrix path raises before any allocation
+    n = 12
+    seq = GateSequence([GateInstr("h", (0,))], n)
+    gate = DualityGate(np.array([0.5, 0.5]), (seq, PhaseDiagonal(np.ones(1 << n))))
+    circ = build_dilation(gate)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated an explicit matrix")
+
+    for name in ("zeros", "empty", "eye", "diag", "zeros_like", "empty_like"):
+        monkeypatch.setattr(np, name, refuse)
+    for build in (seq.dense, gate.unitaries[1].dense, gate.dense_unitaries, gate.matrix,
+                  circ.effective_operator):
+        with pytest.raises(ValueError, match="above the 67108864-byte limit"):
+            build()
 
 
 def test_run_dilation_with_custom_combine():

@@ -72,9 +72,10 @@ CASES = {
 }
 
 #: Runs that cannot succeed: every attempt has (numerically) zero hit
-#: probability, so each trial exhausts a 10**6 budget.  Each attempt is one
-#: draw, so a trial takes about a second; re-running the dilation every
-#: attempt took 30-60 s per trial.
+#: probability, so each trial exhausts a 10**6 budget.  The attempts are
+#: drawn in chunks of 2**16, so a trial takes about 5 ms; one scalar draw per
+#: attempt took about a second, and re-running the dilation every attempt
+#: 30-60 s.
 DEGENERATE_CASES = {
     "degenerate_recycle": ["recycle", "--gate", "search", "--n", "4", "--init", "0",
                            "--marked", "13", "--trials", "2", "--out", "degenerate_recycle.csv"],

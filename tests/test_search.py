@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FixedRandom, count_dilations, global_phase_dev
 from dualsim import (
@@ -9,13 +11,16 @@ from dualsim import (
     Hit,
     HybridParams,
     Miss,
+    PhaseDiagonal,
     SearchProblem,
     apply_duality_gate,
     aux_zero_block,
     basis_state,
     build_dilation,
+    classify_duality_gate,
     conditional_measure,
     duality_search_step,
+    exact_recovery,
     grover_iterate,
     grover_oracle,
     hit_probability,
@@ -58,6 +63,43 @@ def test_search_gate_sum_is_marked_projector():
     want = np.zeros((8, 8))
     want[2, 2] = want[5, 5] = 1.0
     assert np.abs(m - want).max() < 1e-15
+
+
+AMPLITUDE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                      st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 6), data=st.data())
+def test_search_gate_slits_are_phase_diagonals_equal_to_the_dense_matvec(n, data):
+    size = 1 << n
+    marked = data.draw(st.sets(st.integers(0, size - 1), min_size=1, max_size=size - 1))
+    p = SearchProblem(n, frozenset(marked))
+    oracle, identity = search_gate(p).unitaries
+    assert isinstance(oracle, PhaseDiagonal) and isinstance(identity, PhaseDiagonal)
+    assert oracle.dense().tobytes() == oracle_unitary(p).tobytes()
+    assert identity.dense().tobytes() == np.eye(size, dtype=complex).tobytes()
+    parts = data.draw(st.lists(AMPLITUDE, min_size=2 * size, max_size=2 * size))
+    v = np.array([complex(re, im) for re, im in zip(parts[:size], parts[size:])])
+    # equal as numbers; only the sign of a zero entry may differ from the matvec
+    assert np.array_equal(oracle @ v, oracle_unitary(p) @ v)
+    assert np.array_equal(identity @ v, np.eye(size) @ v)
+
+
+def test_large_search_gate_refuses_explicit_matrices_before_allocating(monkeypatch):
+    p = problem(16, 12345)
+    gate = search_gate(p)
+    circuit = build_dilation(gate)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated an explicit matrix")
+
+    for name in ("zeros", "empty", "eye", "diag", "zeros_like", "empty_like"):
+        monkeypatch.setattr(np, name, refuse)
+    for needs_matrix in (gate.matrix, circuit.effective_operator, lambda: exact_recovery(gate),
+                         lambda: classify_duality_gate(gate)):
+        with pytest.raises(ValueError, match="65536x65536 matrix needs 68719476736 bytes"):
+            needs_matrix()
 
 
 def test_duality_search_step_uniform_law():

@@ -20,7 +20,7 @@ from dualsim import (
     random_unitary,
     uniform_state,
 )
-from dualsim.statevec import checked_unitary
+from dualsim.statevec import checked_unitary, format_complex_literal
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -241,6 +241,23 @@ def test_matrix_text_round_trip_is_bit_exact(entries):
     dim = math.isqrt(len(entries))
     mat = np.array([complex(re, im) for re, im in entries]).reshape(dim, dim)
     assert parse_matrix_text(format_matrix_text(mat)).tobytes() == mat.tobytes()
+
+
+_EXTREME = st.one_of(_SIGNED_ZERO_OR_FINITE,
+                    st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308,
+                                     1.7976931348623157e308, -1.7976931348623157e308,
+                                     1e16, 1e-5, 123456789012345680.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda d: st.lists(st.tuples(_EXTREME, _EXTREME), min_size=d * d, max_size=d * d)))
+def test_matrix_text_reads_as_the_per_entry_literals(entries):
+    # the row-at-a-time formatter writes every entry as format_complex_literal does
+    dim = math.isqrt(len(entries))
+    mat = np.array([complex(re, im) for re, im in entries]).reshape(dim, dim)
+    rows = [" ".join(format_complex_literal(z) for z in row) for row in mat]
+    assert format_matrix_text(mat) == "\n".join([str(dim)] + rows) + "\n"
 
 
 def test_checked_unitary_returns_a_frozen_copy_or_names_the_operator():

@@ -1,4 +1,5 @@
-"""Per-layer timings of per-trial seeding and the repeat-until-hit loop, in process.
+"""Per-layer timings of seeding, the repeat-until-hit loop, gate building, the
+dilation, large searches and the matrix text format, in process.
 
     python3 tools/bench_layers.py [--src CHECKOUT/src] [--repeats N] [--label NAME --out FILE]
 
@@ -17,6 +18,16 @@ layer the checkout lacks reads null.  Layers:
                              that draws repeated cycles in chunks
   trial.exhausted_1e6_ms     one Reset trial with P0 = 0 (search gate n = 4,
                              marked 13, input |0>) that spends 10**6 cycles
+  circuit.gate_n8_ms         ``duality_gate_of`` + ``build_dilation`` of a
+  circuit.gate_n10_ms        two-slit block of 12 h/t/cx lines per slit (the
+                             ``circuit_dense`` kind of block) at n = 8 and 10
+  dilation.run_n10_ms        ``run_dilation`` of the n = 10 gate on the
+                             uniform state
+  search.experiment_n16_ms   one ``run_search_experiment`` (marked 12345, j = 0,
+  search.experiment_n20_ms   10 trials, seed 1) with the problem's cached
+                             dilation cleared first; null on a checkout whose
+                             search gate holds dense N×N slits (64 GiB at n = 16)
+  format.matrix_256_ms       ``format_matrix_text`` of one 256×256 matrix
 
 The record also holds nproc, OPENBLAS_NUM_THREADS, the numpy and Python
 versions, the checkout's git HEAD and whether its tracked files differ from
@@ -31,6 +42,7 @@ import inspect
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -63,12 +75,32 @@ def medians(repeats: int, layers: dict) -> dict:
     return {name: statistics.median(values) for name, values in samples.items()}
 
 
+def block_circuit(n: int) -> str:
+    """A two-slit duality block, 12 h/t/cx gate lines per slit on seeded qubits."""
+    rng = random.Random(n)
+    lines = [f"qubits {n}", "duality 2", "weights 0.375 0.625"]
+    for slit in range(2):
+        lines.append(f"slit {slit}")
+        for name in ("h", "t", "cx") * 4:
+            qubits = rng.sample(range(n), 2 if name == "cx" else 1)
+            lines.append(" ".join([name, *map(str, qubits)]))
+    return "\n".join(lines + ["endduality"]) + "\n"
+
+
+def timed(call) -> tuple[int, int]:
+    start = time.perf_counter_ns()
+    call()
+    return time.perf_counter_ns() - start, 1
+
+
 def measure(repeats: int) -> dict:
     import numpy as np
 
     import dualsim
-    from dualsim import (Reset, SearchProblem, basis_state, build_dilation, search_gate,
-                         trial_rng, uniform_state)
+    from dualsim import (Reset, SearchProblem, basis_state, build_dilation, format_matrix_text,
+                         parse_circuit, run_dilation, run_search_experiment, search,
+                         search_gate, trial_rng, uniform_state)
+    from dualsim.circuit import duality_gate_of
 
     def seeding_single():
         start = time.perf_counter_ns()
@@ -112,13 +144,36 @@ def measure(repeats: int) -> dict:
         assert run.exhausted and run.cycles_used == 10**6
         return time.perf_counter_ns() - start, 1
 
+    blocks = {n: (parse_circuit(block_circuit(n)).instructions[0], n) for n in (8, 10)}
+    circuit10 = build_dilation(duality_gate_of(*blocks[10]))
+    uniform10 = uniform_state(10)
+
+    def search_experiment(n):
+        problem = SearchProblem(n, frozenset({12345}))
+        search._search_dilation.cache_clear()
+        elapsed = timed(lambda: run_search_experiment(problem, 0, 10, 1))
+        search._search_dilation.cache_clear()  # the n = 20 circuit holds ~100 MB
+        return elapsed
+
+    matrix256 = np.random.default_rng(SEED).standard_normal((256, 512)).view(np.complex128)
+    dense_search = isinstance(search_gate(SearchProblem(1, frozenset({0}))).unitaries[0],
+                              np.ndarray)
+
     layers = {"seeding.trial_rng_us": seeding_single,
               "seeding.trial_rngs_us": seeding_blocked,
               "cycle.reset_scalar_us": lambda: reset_cycles(ScalarDraws),
               "cycle.reset_chunked_us": lambda: reset_cycles(lambda g: g),
-              "trial.exhausted_1e6_ms": exhausted_trial}
+              "trial.exhausted_1e6_ms": exhausted_trial,
+              "circuit.gate_n8_ms": lambda: timed(lambda: build_dilation(duality_gate_of(*blocks[8]))),
+              "circuit.gate_n10_ms": lambda: timed(lambda: build_dilation(duality_gate_of(*blocks[10]))),
+              "dilation.run_n10_ms": lambda: timed(lambda: run_dilation(uniform10, circuit10)),
+              "search.experiment_n16_ms": lambda: search_experiment(16),
+              "search.experiment_n20_ms": lambda: search_experiment(20),
+              "format.matrix_256_ms": lambda: timed(lambda: format_matrix_text(matrix256))}
     absent = {"seeding.trial_rngs_us": not hasattr(dualsim, "trial_rngs"),
-              "cycle.reset_chunked_us": not hasattr(dualsim.Readout, "measure_until_hit")}
+              "cycle.reset_chunked_us": not hasattr(dualsim.Readout, "measure_until_hit"),
+              "search.experiment_n16_ms": dense_search,
+              "search.experiment_n20_ms": dense_search}
     found = medians(repeats, {name: run for name, run in layers.items() if not absent.get(name)})
     return {name: found[name] / (1e6 if name.endswith("_ms") else 1e3) if name in found else None
             for name in layers}
