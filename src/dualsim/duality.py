@@ -346,23 +346,23 @@ def unitary_completion(first_column) -> np.ndarray:
     return np.eye(col.size) - np.outer(u, u) * (2.0 / nrm2)
 
 
-def build_dilation(gate: DualityGate, combine_unitary=None) -> DilationCircuit:
+def build_dilation(gate: DualityGate) -> DilationCircuit:
     """Dilation circuit for a gate: prepare's column 0 carries sqrt(p_i).
 
-    The default combine is prepare†, which makes the aux=0 coefficients
-    exactly the gate weights; for symmetric 2-slit weights both stages are
-    the Hadamard.  The auxiliary register is the smallest whole register
+    Combine is prepare†, which makes the aux=0 coefficients exactly the
+    gate weights; for symmetric 2-slit weights both stages are the
+    Hadamard.  The auxiliary register is the smallest whole register
     holding the slits; the padding slots (identity) get zero effective
-    weight.  Passing ``combine_unitary`` (asymmetric or phased slit readout)
-    changes the effective coefficients to combine[0, i] * prepare[i, 0],
-    reported by the circuit object.
+    weight.  Other stages (asymmetric or phased slit readout) go through
+    the constructor, ``DilationCircuit(gate, prepare, combine)`` or
+    ``dataclasses.replace(build_dilation(gate), combine=C)``; the circuit
+    reports the effective coefficients combine[0, i] * prepare[i, 0].
     """
     m = gate.num_slits
     col = np.zeros(1 << max(1, (m - 1).bit_length()))
     col[:m] = np.sqrt(gate.weights)
     prepare = unitary_completion(col)
-    comb = prepare.conj().T if combine_unitary is None else combine_unitary
-    return DilationCircuit(gate, prepare, comb)
+    return DilationCircuit(gate, prepare, prepare.conj().T)
 
 
 def run_dilation(work_state: StateVector, circuit: DilationCircuit) -> StateVector:

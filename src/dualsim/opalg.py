@@ -138,9 +138,9 @@ def normal_decompose(mat, tol: float = DEFAULT_NORMAL_TOL) -> LcuDecomposition:
     return _witness(a, alpha, weights, (u1, u2))
 
 
-def classify_duality_gate(gate: DualityGate, tol: float = DEFAULT_UNITARY_TOL) -> GateClass:
-    """UNITARY iff the assembled sum is unitary within tol; such gates are
-    exactly the ones preserving every input norm (the extreme points)."""
-    if is_unitary(gate.matrix(), tol):
+def classify_duality_gate(gate: DualityGate) -> GateClass:
+    """UNITARY iff the assembled sum is unitary within DEFAULT_UNITARY_TOL; such
+    gates are exactly the ones preserving every input norm (the extreme points)."""
+    if is_unitary(gate.matrix(), DEFAULT_UNITARY_TOL):
         return GateClass.UNITARY
     return GateClass.STRICTLY_CONTRACTIVE

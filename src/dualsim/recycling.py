@@ -27,7 +27,7 @@ from .duality import (
     apply_duality_gate,
     rewinds_draws,
 )
-from .statevec import DEFAULT_UNITARY_TOL, StateVector, checked_unitary, is_normalized
+from .statevec import DEFAULT_UNITARY_TOL, StateVector, checked_unitary, is_normalized, is_unitary
 
 #: Hard ceiling on any cycle budget.
 MAX_CYCLES_CAP = 1_000_000
@@ -87,27 +87,30 @@ class RecyclingRun:
         return not isinstance(self.outcome, Hit)
 
 
-def exact_recovery(gate: DualityGate, tol: float = DEFAULT_UNITARY_TOL) -> np.ndarray | None:
+def exact_recovery(gate: DualityGate) -> np.ndarray | None:
     """Recovery unitary for a 2-slit gate, when one exists.
 
     The miss branch applies M = p0 U0 - p1 U1 (slit order fixes the sign).
-    When M†M = c I within ``tol`` and c > 0, V = M†/sqrt(c) is unitary and
-    V (M/sqrt(c)) = I, so V maps the normalized miss state back onto the
-    input.  Returns None for other slit counts or when M is not
-    proportional to a unitary (e.g. the search-oracle gate).  Needs the
-    slits as explicit matrices (``DualityGate.dense_unitaries``).
+    When M†M = c I within ``DEFAULT_UNITARY_TOL`` and c > 0, V = M†/sqrt(c)
+    is unitary and V (M/sqrt(c)) = I, so V maps the normalized miss state
+    back onto the input; with c = ||M||_F**2 / N the test is ``is_unitary(M
+    / sqrt(c), DEFAULT_UNITARY_TOL / c)``.  Returns None for other slit
+    counts or when M is not proportional to a unitary (e.g. the
+    search-oracle gate).  Needs the slits as explicit matrices
+    (``DualityGate.dense_unitaries``).
     """
     if gate.num_slits != 2:
         return None
     u0, u1 = gate.dense_unitaries()
-    m = gate.weights[0] * u0 - gate.weights[1] * u1
-    gram = m.conj().T @ m
-    c = float(np.mean(np.diag(gram)).real)
+    m = gate.weights[0] * u0
+    m -= gate.weights[1] * u1
+    c = float(np.vdot(m, m).real) / gate.dim
     if c <= DEGENERATE_BRANCH_TOL:
         return None
-    if float(np.abs(gram - c * np.eye(gate.dim)).max()) > tol:
+    m /= math.sqrt(c)
+    if not is_unitary(m, DEFAULT_UNITARY_TOL / c):
         return None
-    return m.conj().T / math.sqrt(c)
+    return m.conj().T
 
 
 def cycle_budget(p_hit: float) -> int:

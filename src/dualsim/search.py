@@ -11,8 +11,9 @@ beta = arcsin(sqrt(M/N)).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -61,6 +62,11 @@ class SearchProblem:
     def num_marked(self) -> int:
         return len(self.marked)
 
+    @cached_property
+    def _circuit(self) -> DilationCircuit:
+        """The search gate's dilation, built on first use and freed with the problem."""
+        return build_dilation(search_gate(self))
+
 
 @dataclass(frozen=True)
 class HybridParams:
@@ -106,12 +112,6 @@ def search_gate(problem: SearchProblem) -> DualityGate:
     return DualityGate(np.array([0.5, 0.5]), (oracle, PhaseDiagonal(np.ones(problem.size))))
 
 
-@lru_cache(maxsize=64)
-def _search_dilation(problem: SearchProblem) -> DilationCircuit:
-    """The search gate's dilation, built once per problem; ``.gate`` is the gate."""
-    return build_dilation(search_gate(problem))
-
-
 def grover_iterate(state: StateVector, problem: SearchProblem, iterations: int) -> StateVector:
     """j rounds of (inversion about the mean) after (marked phase flip).
 
@@ -138,10 +138,11 @@ def duality_search_step(state: StateVector, problem: SearchProblem,
 
     A Hit's sampled index is always marked (the aux=0 block is the marked
     projection of the input); the Miss state is the normalized unmarked
-    remainder on the aux=1 branch.  The problem's circuit keeps the readout
-    of the last state, so repeated steps on one state run the dilation once.
+    remainder on the aux=1 branch.  The problem object keeps its circuit,
+    which keeps the readout of its last state, so repeated steps on one
+    problem object and one state run the dilation once.
     """
-    return _search_dilation(problem).readout(state).measure(rng)
+    return problem._circuit.readout(state).measure(rng)
 
 
 @dataclass(frozen=True)
@@ -153,19 +154,21 @@ class TrialResult:
     analytic_success_prob: float
 
 
-def _prepared_state(problem: SearchProblem, j: int) -> StateVector:
-    """The uniform state after j amplification rounds: every attempt's input."""
+def _search_trials(problem: SearchProblem, j: int, max_repetitions: int | None,
+                   rngs) -> Iterator[TrialResult]:
+    """One repeat-until-hit trial per generator in ``rngs``: the recycling
+    loop on the problem's circuit, with Reset to the prepared state (the
+    uniform state after j amplification rounds) after every miss; all share
+    one budget, Reset and circuit."""
+    params = HybridParams.for_problem(problem, j)
+    budget = cycle_budget(params.success_prob) if max_repetitions is None else max_repetitions
     prepared = uniform_state(problem.num_qubits)
-    return grover_iterate(prepared, problem, j) if j else prepared
-
-
-def _search_trial(problem: SearchProblem, strategy: Reset, budget: int, success_prob: float,
-                  rng) -> TrialResult:
-    """One repeat-until-hit trial: the recycling loop on the search gate, with
-    Reset to the prepared state (fresh preparation) after every miss."""
-    run = run_recycling(strategy.input, _search_dilation(problem), strategy, budget, rng=rng)
-    hit_index = None if run.exhausted else run.outcome.sampled_index
-    return TrialResult(run.cycles_used, hit_index, success_prob)
+    strategy = Reset(grover_iterate(prepared, problem, j) if j else prepared)
+    circuit = problem._circuit
+    for rng in rngs:
+        run = run_recycling(strategy.input, circuit, strategy, budget, rng=rng)
+        hit_index = None if run.exhausted else run.outcome.sampled_index
+        yield TrialResult(run.cycles_used, hit_index, params.success_prob)
 
 
 def hybrid_search(problem: SearchProblem, j: int, max_repetitions: int | None = None, *,
@@ -178,12 +181,9 @@ def hybrid_search(problem: SearchProblem, j: int, max_repetitions: int | None = 
     a recycling cycle under Reset.  Raises Exhausted when the budget runs
     out.
     """
-    params = HybridParams.for_problem(problem, j)
-    budget = cycle_budget(params.success_prob) if max_repetitions is None else max_repetitions
-    res = _search_trial(problem, Reset(_prepared_state(problem, j)), budget,
-                        params.success_prob, rng)
+    res = next(_search_trials(problem, j, max_repetitions, (rng,)))
     if res.hit_index is None:
-        raise Exhausted(f"no hit within {budget} repetitions")
+        raise Exhausted(f"no hit within {res.repetitions} repetitions")
     return res
 
 
@@ -213,20 +213,17 @@ def run_search_experiment(problem: SearchProblem, j: int, trials: int, seed: int
     """``trials`` independent hybrid searches on rng streams derived from
     (seed, trial index); aggregation is order-independent.
 
-    All trials share one prepared state, one Reset and the problem's cached
+    All trials share one prepared state, one Reset and the problem's
     dilation circuit, which keeps the prepared state's readout: the
     dilation runs once per experiment.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    params = HybridParams.for_problem(problem, j)
-    budget = cycle_budget(params.success_prob) if max_repetitions is None else max_repetitions
-    strategy = Reset(_prepared_state(problem, j))
-    results = tuple(_search_trial(problem, strategy, budget, params.success_prob, rng)
-                    for rng in trial_rngs(seed, range(trials)))
+    results = tuple(_search_trials(problem, j, max_repetitions, trial_rngs(seed, range(trials))))
     hits = sum(1 for r in results if r.hit_index is not None)
     total = sum(r.repetitions for r in results)
-    return SearchStats(trials, hits, total, hits / trials, params.success_prob, results)
+    return SearchStats(trials, hits, total, hits / trials, results[0].analytic_success_prob,
+                       results)
 
 
 def repetition_curve(num_items: int, num_marked: int, j_max: int) -> list[tuple[int, float, float]]:
@@ -244,6 +241,6 @@ def repetition_curve(num_items: int, num_marked: int, j_max: int) -> list[tuple[
     beta = math.asin(math.sqrt(num_marked / num_items))
     rows = []
     for j in range(j_max + 1):
-        p = math.sin((2 * j + 1) * beta) ** 2
+        p = HybridParams(j, beta).success_prob
         rows.append((j, p, math.inf if p == 0.0 else 1.0 / p))
     return rows

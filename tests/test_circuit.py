@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualsim import (
+    CircuitSpec,
     CircuitSyntaxError,
     GateSequence,
     Hit,
@@ -89,6 +90,48 @@ def test_serialize_round_trip():
         assert again == spec
         # serialization is a fixed point
         assert serialize_circuit(again) == serialize_circuit(spec)
+
+
+@st.composite
+def circuit_specs(draw):
+    """Specs over every instruction kind: init, each gate, duality blocks
+    (empty slits included) and an optional final measured block."""
+    n = draw(st.integers(1, 4))
+    size = 1 << n
+    qubit = st.integers(0, n - 1)
+    gate_kinds = [
+        st.builds(lambda name, q: GateInstr(name, (q,)), st.sampled_from("hxyzst"), qubit),
+        st.lists(st.integers(0, size - 1), min_size=1, max_size=4, unique=True)
+        .map(lambda ix: GateInstr("oracle", tuple(ix))),
+        st.just(GateInstr("diffusion", ())),
+    ]
+    if n > 1:
+        gate_kinds.append(st.lists(qubit, min_size=2, max_size=2, unique=True)
+                          .map(lambda qs: GateInstr("cx", tuple(qs))))
+    gate = st.one_of(gate_kinds)
+
+    @st.composite
+    def block(draw, measured):
+        parts = draw(st.lists(st.integers(0, 1000), min_size=2, max_size=4)
+                     .filter(lambda ks: sum(ks) > 0))
+        weights = tuple(k / sum(parts) for k in parts)
+        slits = tuple(tuple(draw(st.lists(gate, max_size=3))) for _ in parts)
+        return DualityInstr(weights, slits, measured)
+
+    init = st.one_of(st.just(InitInstr("uniform")),
+                     st.integers(0, size - 1).map(lambda k: InitInstr("basis", k)))
+    body = draw(st.lists(st.one_of(init, gate, block(False)), max_size=6))
+    if draw(st.booleans()):
+        body.append(draw(block(True)))
+    return CircuitSpec(n, tuple(body))
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=circuit_specs())
+def test_parse_inverts_serialize_on_generated_specs(spec):
+    text = serialize_circuit(spec)
+    assert parse_circuit(text) == spec
+    assert serialize_circuit(parse_circuit(text)) == text
 
 
 def test_run_plain_gates():

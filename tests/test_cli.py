@@ -377,3 +377,17 @@ def test_exact_recovery_on_a_large_search_gate_fails_fast(tmp_path):
         "error: ValueError: an explicit 65536x65536 matrix needs 68719476736 bytes, "
         "above the 67108864-byte limit"]
     assert not out.exists()
+
+
+def test_exact_recovery_on_an_n11_search_gate_forms_no_full_gram_matrix(tmp_path):
+    # the two explicit 2048x2048 slits fit under MAX_DENSE_BYTES; "no recovery"
+    # comes from the first failing row block of M†M, with no N×N Gram matrix,
+    # identity or difference beside the slits
+    out = tmp_path / "r.csv"
+    code, wall, peak_mb, stderr = run_measured(
+        tmp_path, ["recycle", "--gate", "search", "--n", "11", "--marked", "5",
+                   "--recovery", "exact", "--trials", "1", "--out", str(out)])
+    assert code == 1 and wall < LARGE_WALL_S and peak_mb < 330.0, (wall, peak_mb)
+    assert stderr.splitlines() == [
+        "error: ValueError: no exact recovery unitary exists for this gate; use --recovery reset"]
+    assert not out.exists()

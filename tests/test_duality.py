@@ -410,7 +410,7 @@ def test_run_dilation_with_custom_combine():
     rng = np.random.default_rng(37)
     gate = random_gate(2, 2, rng)
     comb = random_unitary(2, rng)
-    circ = build_dilation(gate, combine_unitary=comb)
+    circ = dataclasses.replace(build_dilation(gate), combine=comb)
     psi = random_state(2, rng)
     full = run_dilation(psi, circ)
     block = aux_zero_block(full, 1)

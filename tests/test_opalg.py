@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_normal_matrix, unit_disc_matrix
 from dualsim import (
@@ -77,6 +79,44 @@ def test_lcu_round_trip_random():
                 assert is_unitary(u, 1e-10)
             count += 1
     assert count >= 50
+
+
+def assert_witness(dec, a):
+    """Unitary factors, and the reported residual is the true one and within
+    1e-9 * max(1, alpha)."""
+    assert all(is_unitary(u) for u in dec.unitaries)
+    assert dec.residual == np.abs(dec.reconstruct() - a).max()
+    assert dec.residual <= 1e-9 * max(1.0, dec.alpha)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dim=st.integers(1, 8), rank=st.integers(0, 8), log_scale=st.floats(-6, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_lcu_decompose_residual_on_random_inputs(dim, rank, log_scale, seed):
+    rng = np.random.default_rng(seed)
+    rank = min(rank, dim)
+    left = rng.standard_normal((dim, rank, 2)) @ [1, 1j]
+    right = rng.standard_normal((rank, dim, 2)) @ [1, 1j]
+    a = 10.0**log_scale * (left @ right)  # Gaussian of the given rank; the zero matrix at rank 0
+    dec = lcu_decompose(a)
+    assert len(dec.unitaries) == 4
+    assert_witness(dec, a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dim=st.integers(1, 8), distinct=st.integers(1, 8), log_scale=st.floats(-3, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_normal_decompose_residual_on_random_normal_inputs(dim, distinct, log_scale, seed):
+    # Q diag(lambda) Q† with at most ``distinct`` eigenvalues, so repeated ones are common
+    rng = np.random.default_rng(seed)
+    values = 10.0**log_scale * (rng.standard_normal((distinct, 2)) @ [1, 1j])
+    lam = values[rng.integers(0, distinct, dim)]
+    q = random_unitary(dim, rng)
+    a = (q * lam) @ q.conj().T
+    dec = normal_decompose(a)
+    u1, u2 = dec.unitaries
+    assert np.abs(u1 @ u2 - u2 @ u1).max() <= 1e-9
+    assert_witness(dec, a)
 
 
 def test_normal_decompose_unitary_input_is_its_own_witness():

@@ -4,9 +4,12 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import FixedRandom, count_dilations
 from dualsim import (
+    DEFAULT_UNITARY_TOL,
     Custom,
     DilationCircuit,
     DualityGate,
@@ -34,6 +37,7 @@ from dualsim import (
     trial_rngs,
     uniform_state,
 )
+from dualsim.duality import DEGENERATE_BRANCH_TOL
 
 I2 = np.eye(2, dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -59,6 +63,36 @@ def test_exact_recovery_absent_cases():
     # only defined for 2 slits
     gate3 = DualityGate(np.array([0.4, 0.3, 0.3]), (I2, I2, I2))
     assert exact_recovery(gate3) is None
+
+
+def gram_rule_recovery(gate):
+    """Reference: M†M and c·I formed in full, accepted iff max |M†M - cI| <= tol."""
+    u0, u1 = gate.dense_unitaries()
+    m = gate.weights[0] * u0 - gate.weights[1] * u1
+    gram = m.conj().T @ m
+    c = float(np.mean(np.diag(gram)).real)
+    deviation = float(np.abs(gram - c * np.eye(gate.dim)).max())
+    if c <= DEGENERATE_BRANCH_TOL or deviation > DEFAULT_UNITARY_TOL:
+        return None, deviation
+    return m.conj().T / math.sqrt(c), deviation
+
+
+@settings(max_examples=80, deadline=None)
+@given(num_qubits=st.integers(1, 4), proportional=st.booleans(), p0=st.floats(0.05, 0.95),
+       phi=st.floats(0.2, 2 * math.pi - 0.2), seed=st.integers(0, 2**32 - 1))
+def test_exact_recovery_agrees_with_the_full_gram_rule(num_qubits, proportional, p0, phi, seed):
+    # U1 = e^{i phi} U0 makes M proportional to a unitary, with c = |p0 - p1 e^{i phi}|^2
+    # >= sin^2(0.1); independent Haar slits are far from it: nothing lands near the tolerance
+    rng = np.random.default_rng(seed)
+    u0 = random_unitary(1 << num_qubits, rng)
+    u1 = np.exp(1j * phi) * u0 if proportional else random_unitary(1 << num_qubits, rng)
+    gate = DualityGate(np.array([p0, 1.0 - p0]), (u0, u1))
+    want, deviation = gram_rule_recovery(gate)
+    assume(proportional or deviation > 1e-6)
+    v = exact_recovery(gate)
+    assert (v is None) == (want is None) == (not proportional)
+    if proportional:
+        assert np.abs(v - want).max() <= 1e-12
 
 
 def test_exact_recovery_contract_on_random_proportional_gates():

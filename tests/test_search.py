@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -138,7 +140,7 @@ def test_duality_search_step_on_one_state_runs_the_dilation_once(monkeypatch):
     # the problem's circuit keeps the readout of its last state, and every
     # step draws from it exactly as a fresh dilation and measurement would
     p = problem(5, 6, 19)
-    state = random_state(5, np.random.default_rng(2718))  # no other test keeps this input
+    state = random_state(5, np.random.default_rng(2718))
     circuit = build_dilation(search_gate(p))
     ref_rng, rng = np.random.default_rng(31), np.random.default_rng(31)
     expected = [conditional_measure(run_dilation(state, circuit), 1, ref_rng) for _ in range(300)]
@@ -150,6 +152,23 @@ def test_duality_search_step_on_one_state_runs_the_dilation_once(monkeypatch):
         assert getattr(out, "sampled_index", None) == getattr(want, "sampled_index", None)
         assert out.post_state.amplitudes.tobytes() == want.post_state.amplitudes.tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_search_circuit_is_freed_with_its_problem(monkeypatch):
+    # the problem object keeps its dilation circuit (and the readout it
+    # keeps); no module-level store outlives the problem
+    p = problem(6, 17, 40)
+    calls = count_dilations(monkeypatch)
+    stats = run_search_experiment(p, 1, trials=5, seed=3)
+    assert len(calls) == 1 and stats.trials == 5
+    circuit = weakref.ref(calls.pop()[0])
+    assert circuit() is not None
+    # the kept circuit is not a field: equality, hash and repr are unchanged
+    fresh = problem(6, 40, 17)
+    assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
+    del p
+    gc.collect()
+    assert circuit() is None
 
 
 def test_grover_iterate_examples():

@@ -1,12 +1,12 @@
 """Per-layer timings of seeding, the repeat-until-hit loop, gate building, the
-dilation, large searches and the matrix text format, in process.
+dilation, large searches, exact recovery and the matrix text format, in process.
 
     python3 tools/bench_layers.py [--src CHECKOUT/src] [--repeats N] [--label NAME --out FILE]
 
 Imports ``dualsim`` from ``--src`` (default: this checkout's ``src``) and
 times each layer with ``time.perf_counter_ns``; a layer's value is the
-median over ``--repeats`` rounds that each time every layer once, and a
-layer the checkout lacks reads null.  Layers:
+median over ``--repeats`` rounds that each time every layer once.  It runs
+on checkouts from 170be87 on.  Layers:
 
   seeding.trial_rng_us       one ``trial_rng(seed, t)`` call, over 2000 indices
   seeding.trial_rngs_us      one trial's generator from ``trial_rngs``, over 2000
@@ -14,8 +14,8 @@ layer the checkout lacks reads null.  Layers:
                              n = 4 with one marked index (P0 = 1/16), an rng
                              object with only ``.random()``, time per cycle
                              over 2000 trials
-  cycle.reset_chunked_us     the same with a PCG64 Generator on a checkout
-                             that draws repeated cycles in chunks
+  cycle.reset_chunked_us     the same with a PCG64 Generator, which the loop
+                             draws in chunks
   trial.exhausted_1e6_ms     one Reset trial with P0 = 0 (search gate n = 4,
                              marked 13, input |0>) that spends 10**6 cycles
   circuit.gate_n8_ms         ``duality_gate_of`` + ``build_dilation`` of a
@@ -24,9 +24,10 @@ layer the checkout lacks reads null.  Layers:
   dilation.run_n10_ms        ``run_dilation`` of the n = 10 gate on the
                              uniform state
   search.experiment_n16_ms   one ``run_search_experiment`` (marked 12345, j = 0,
-  search.experiment_n20_ms   10 trials, seed 1) with the problem's cached
-                             dilation cleared first; null on a checkout whose
-                             search gate holds dense N×N slits (64 GiB at n = 16)
+  search.experiment_n20_ms   10 trials, seed 1) on a fresh problem, so its
+                             circuit is built in the timed call
+  recovery.exact_search_n11_ms  ``exact_recovery`` of the n = 11 search gate
+                             (marked 5), which has none
   format.matrix_256_ms       ``format_matrix_text`` of one 256×256 matrix
 
 The record also holds nproc, OPENBLAS_NUM_THREADS, the numpy and Python
@@ -38,7 +39,6 @@ alternate.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import platform
@@ -96,10 +96,10 @@ def timed(call) -> tuple[int, int]:
 def measure(repeats: int) -> dict:
     import numpy as np
 
-    import dualsim
-    from dualsim import (Reset, SearchProblem, basis_state, build_dilation, format_matrix_text,
-                         parse_circuit, run_dilation, run_search_experiment, search,
-                         search_gate, trial_rng, uniform_state)
+    from dualsim import (Reset, SearchProblem, basis_state, build_dilation, exact_recovery,
+                         format_matrix_text, parse_circuit, run_dilation, run_recycling,
+                         run_search_experiment, search, search_gate, trial_rng, trial_rngs,
+                         uniform_state)
     from dualsim.circuit import duality_gate_of
 
     def seeding_single():
@@ -110,18 +110,12 @@ def measure(repeats: int) -> dict:
 
     def seeding_blocked():
         start = time.perf_counter_ns()
-        for _ in dualsim.trial_rngs(SEED, range(TRIALS)):
+        for _ in trial_rngs(SEED, range(TRIALS)):
             pass
         return time.perf_counter_ns() - start, TRIALS
 
     gate = search_gate(SearchProblem(4, frozenset({13})))
     circuit = build_dilation(gate)
-    run_recycling = dualsim.run_recycling
-    if "gate" in inspect.signature(run_recycling).parameters:
-        # an older checkout: the loop takes the gate and the circuit separately
-        def run_recycling(state, circuit, strategy, max_cycles, *, rng):
-            return dualsim.run_recycling(state, circuit.gate, strategy, max_cycles, rng=rng,
-                                         circuit=circuit)
     prepared = uniform_state(4)
     strategy = Reset(prepared)
 
@@ -148,16 +142,17 @@ def measure(repeats: int) -> dict:
     circuit10 = build_dilation(duality_gate_of(*blocks[10]))
     uniform10 = uniform_state(10)
 
+    cache = getattr(search, "_search_dilation", None)  # 170be87's module-level circuit cache
+
     def search_experiment(n):
         problem = SearchProblem(n, frozenset({12345}))
-        search._search_dilation.cache_clear()
         elapsed = timed(lambda: run_search_experiment(problem, 0, 10, 1))
-        search._search_dilation.cache_clear()  # the n = 20 circuit holds ~100 MB
+        if cache is not None:
+            cache.cache_clear()  # the n = 20 circuit holds ~100 MB
         return elapsed
 
+    search_gate11 = search_gate(SearchProblem(11, frozenset({5})))
     matrix256 = np.random.default_rng(SEED).standard_normal((256, 512)).view(np.complex128)
-    dense_search = isinstance(search_gate(SearchProblem(1, frozenset({0}))).unitaries[0],
-                              np.ndarray)
 
     layers = {"seeding.trial_rng_us": seeding_single,
               "seeding.trial_rngs_us": seeding_blocked,
@@ -169,14 +164,10 @@ def measure(repeats: int) -> dict:
               "dilation.run_n10_ms": lambda: timed(lambda: run_dilation(uniform10, circuit10)),
               "search.experiment_n16_ms": lambda: search_experiment(16),
               "search.experiment_n20_ms": lambda: search_experiment(20),
+              "recovery.exact_search_n11_ms": lambda: timed(lambda: exact_recovery(search_gate11)),
               "format.matrix_256_ms": lambda: timed(lambda: format_matrix_text(matrix256))}
-    absent = {"seeding.trial_rngs_us": not hasattr(dualsim, "trial_rngs"),
-              "cycle.reset_chunked_us": not hasattr(dualsim.Readout, "measure_until_hit"),
-              "search.experiment_n16_ms": dense_search,
-              "search.experiment_n20_ms": dense_search}
-    found = medians(repeats, {name: run for name, run in layers.items() if not absent.get(name)})
-    return {name: found[name] / (1e6 if name.endswith("_ms") else 1e3) if name in found else None
-            for name in layers}
+    return {name: value / (1e6 if name.endswith("_ms") else 1e3)
+            for name, value in medians(repeats, layers).items()}
 
 
 def git(src: Path, *argv: str) -> str | None:
