@@ -20,17 +20,23 @@ import numpy as np
 
 from .duality import (
     DEGENERATE_BRANCH_TOL,
+    MAX_DENSE_BYTES,
     DilationCircuit,
     DualityGate,
     Hit,
     MeasurementOutcome,
+    PhaseDiagonal,
     apply_duality_gate,
+    dense_operator_buffer,
     rewinds_draws,
 )
 from .statevec import DEFAULT_UNITARY_TOL, StateVector, checked_unitary, is_normalized, is_unitary
 
 #: Hard ceiling on any cycle budget.
 MAX_CYCLES_CAP = 1_000_000
+#: Bytes counted for the Python objects of one ``Readout.after_miss`` link,
+#: beside its arrays (about 1.2 KiB measured on a 1-qubit gate).
+LINK_OBJECT_BYTES = 2048
 
 
 class InfiniteExpectationError(ValueError):
@@ -96,11 +102,16 @@ def exact_recovery(gate: DualityGate) -> np.ndarray | None:
     back onto the input; with c = ||M||_F**2 / N the test is ``is_unitary(M
     / sqrt(c), DEFAULT_UNITARY_TOL / c)``.  Returns None for other slit
     counts or when M is not proportional to a unitary (e.g. the
-    search-oracle gate).  Needs the slits as explicit matrices
+    search-oracle gate).  For two ``PhaseDiagonal`` slits M is the diagonal
+    m = p0 d0 - p1 d1 and the same rule reads max | |m_i|**2 / c - 1 | <=
+    ``DEFAULT_UNITARY_TOL`` / c, decided in O(N); only a V that exists is
+    built as a matrix.  Other slits are taken as explicit matrices
     (``DualityGate.dense_unitaries``).
     """
     if gate.num_slits != 2:
         return None
+    if all(isinstance(u, PhaseDiagonal) for u in gate.unitaries):
+        return _diagonal_recovery(gate)
     u0, u1 = gate.dense_unitaries()
     m = gate.weights[0] * u0
     m -= gate.weights[1] * u1
@@ -111,6 +122,20 @@ def exact_recovery(gate: DualityGate) -> np.ndarray | None:
     if not is_unitary(m, DEFAULT_UNITARY_TOL / c):
         return None
     return m.conj().T
+
+
+def _diagonal_recovery(gate: DualityGate) -> np.ndarray | None:
+    """``exact_recovery`` of a gate with two ``PhaseDiagonal`` slits."""
+    d0, d1 = (u.phases for u in gate.unitaries)
+    m = gate.weights[0] * d0 - gate.weights[1] * d1
+    c = float(np.vdot(m, m).real) / gate.dim
+    if c <= DEGENERATE_BRANCH_TOL:
+        return None
+    if float(np.abs(np.abs(m) ** 2 / c - 1.0).max()) > DEFAULT_UNITARY_TOL / c:
+        return None
+    v = dense_operator_buffer(gate.dim)
+    v.flat[:: gate.dim + 1] = m / math.sqrt(c)
+    return v.conj()  # diagonal: M†/sqrt(c)
 
 
 def cycle_budget(p_hit: float) -> int:
@@ -131,6 +156,14 @@ def default_max_cycles(gate: DualityGate, state: StateVector) -> int:
     return cycle_budget(_direct_hit_probability(gate, state))
 
 
+def _max_links(dim_work: int) -> int:
+    """Links one unitary-recovery chain keeps: ``MAX_DENSE_BYTES`` over the
+    bytes of one link, four complex vectors of the single-auxiliary full
+    register (the next work state, its dilated state, miss branch and hit
+    branch with Born sums) plus ``LINK_OBJECT_BYTES``."""
+    return MAX_DENSE_BYTES // (4 * 16 * 2 * dim_work + LINK_OBJECT_BYTES)
+
+
 def run_recycling(input_state: StateVector, circuit: DilationCircuit,
                   strategy: RecoveryStrategy, max_cycles: int | None = None, *,
                   rng: np.random.Generator) -> RecyclingRun:
@@ -145,11 +178,21 @@ def run_recycling(input_state: StateVector, circuit: DilationCircuit,
     norm raises ``ValueError`` before any draw: the first cycle's
     ``run_dilation`` checks it.
 
-    Every cycle measures ``circuit.readout(state)``, which the circuit keeps
-    for its last input.  A cycle whose readout is the one the cycle before
-    missed on (every cycle under Reset after the first, and a unitary
-    recovery at a bit-exact fixed point) repeats the same measurement, so
-    with a PCG64 ``Generator`` the run of such cycles is drawn in chunks by
+    The first cycle measures ``circuit.readout(input_state)``, which the
+    circuit keeps for its last input, and so does every Reset cycle.  Under
+    unitary recovery the state after the k-th miss is the same in every
+    trial, so the first trial to reach it computes it, builds its
+    ``Readout`` with ``circuit.fresh_readout`` and stores both in the
+    missed readout's ``after_miss`` link; later trials follow the link.  A
+    recovered state with the bits of the one it came from links back to
+    the same readout.  A chain keeps at most ``_max_links(gate.dim)`` links
+    (``MAX_DENSE_BYTES`` in all); cycles past that build their state and
+    readout anew.
+
+    A cycle whose readout is the one the cycle before missed on (every
+    cycle under Reset after the first, and a unitary recovery at a
+    bit-exact fixed point) repeats the same measurement, so with a PCG64
+    ``Generator`` the run of such cycles is drawn in chunks by
     ``Readout.measure_until_hit``.  Any other ``rng`` (only ``.random()`` is
     needed) draws one cycle at a time.  Either way the cycles use the same
     doubles in the same order, and leave ``rng`` in the same state, as
@@ -171,27 +214,39 @@ def run_recycling(input_state: StateVector, circuit: DilationCircuit,
     if max_cycles < 1:
         raise ValueError(f"max_cycles must be >= 1, got {max_cycles}")
 
-    dim_work = gate.dim
+    num_qubits, dim_work = gate.num_qubits, gate.dim
     reset = isinstance(strategy, Reset)
     chunked = rewinds_draws(rng)
+    links_left = 0 if reset else _max_links(dim_work)
     state = input_state
+    readout = circuit.readout(state)
     missed = None
     cycles = 0
-    while cycles < max_cycles:
-        readout = circuit.readout(state)
+    while True:
         if chunked and readout is missed:
             used, outcome = readout.measure_until_hit(rng, max_cycles - cycles)
         else:
             used, outcome = 1, readout.measure(rng)
         cycles += used
-        if isinstance(outcome, Hit):
+        if isinstance(outcome, Hit) or cycles >= max_cycles:
             break
         missed = readout
         if reset:
             state = strategy.input
-        else:
+            readout = circuit.readout(state)
+            continue
+        link = readout.after_miss
+        if link is None or link[0] is not strategy:
             miss_work = outcome.post_state.amplitudes[dim_work:]
-            state = StateVector(gate.num_qubits, strategy.recovery @ miss_work)
+            recovered = StateVector(num_qubits, strategy.recovery @ miss_work)
+            if recovered.amplitudes.tobytes() == state.amplitudes.tobytes():
+                link = (strategy, recovered, readout)
+            else:
+                link = (strategy, recovered, circuit.fresh_readout(recovered))
+            if links_left > 0:
+                readout.after_miss = link
+        links_left -= 1
+        _, state, readout = link
     return RecyclingRun(outcome, cycles)
 
 

@@ -367,22 +367,21 @@ def test_twenty_qubit_commands_finish_in_seconds(tmp_path, argv):
 
 
 def test_exact_recovery_on_a_large_search_gate_fails_fast(tmp_path):
-    # the recovery needs explicit 2**16 x 2**16 slits (64 GiB): refused before allocating
+    # the two phase-diagonal slits are decided from the diagonal of M in O(N):
+    # no 2**16 x 2**16 matrix (64 GiB) is asked for
     out = tmp_path / "r.csv"
     code, wall, peak_mb, stderr = run_measured(
         tmp_path, ["recycle", "--gate", "search", "--n", "16", "--marked", "3",
                    "--recovery", "exact", "--trials", "1", "--out", str(out)])
     assert code == 1 and wall < LARGE_WALL_S and peak_mb < LARGE_PEAK_MB
     assert stderr.splitlines() == [
-        "error: ValueError: an explicit 65536x65536 matrix needs 68719476736 bytes, "
-        "above the 67108864-byte limit"]
+        "error: ValueError: no exact recovery unitary exists for this gate; use --recovery reset"]
     assert not out.exists()
 
 
 def test_exact_recovery_on_an_n11_search_gate_forms_no_full_gram_matrix(tmp_path):
-    # the two explicit 2048x2048 slits fit under MAX_DENSE_BYTES; "no recovery"
-    # comes from the first failing row block of M†M, with no N×N Gram matrix,
-    # identity or difference beside the slits
+    # "no recovery" forms no N×N Gram matrix, identity or difference; the two
+    # phase-diagonal slits are decided from the diagonal of M alone
     out = tmp_path / "r.csv"
     code, wall, peak_mb, stderr = run_measured(
         tmp_path, ["recycle", "--gate", "search", "--n", "11", "--marked", "5",

@@ -17,11 +17,13 @@ from dualsim import (
     Hit,
     InfiniteExpectationError,
     Miss,
+    PhaseDiagonal,
     Reset,
     SearchProblem,
     StateVector,
     basis_state,
     build_dilation,
+    conditional_measure,
     cycle_budget,
     default_max_cycles,
     exact_recovery,
@@ -93,6 +95,54 @@ def test_exact_recovery_agrees_with_the_full_gram_rule(num_qubits, proportional,
     assert (v is None) == (want is None) == (not proportional)
     if proportional:
         assert np.abs(v - want).max() <= 1e-12
+
+
+@settings(max_examples=120, deadline=None)
+@given(num_qubits=st.integers(1, 8),
+       kind=st.sampled_from(["proportional", "conjugate_phases", "signs", "independent"]),
+       p0=st.floats(0.05, 0.95), phi=st.floats(0.2, 2 * math.pi - 0.2),
+       seed=st.integers(0, 2**32 - 1))
+def test_diagonal_exact_recovery_agrees_with_the_dense_rule(num_qubits, kind, p0, phi, seed):
+    # two PhaseDiagonal slits are decided from the diagonal of M in O(N); the
+    # same gate with explicit diagonal matrices takes the dense route
+    rng = np.random.default_rng(seed)
+    dim = 1 << num_qubits
+    d0 = np.exp(1j * rng.uniform(0, 2 * math.pi, dim))
+    if kind == "proportional":  # |m_i| = |p0 - p1 e^{i phi}| on every entry
+        d1 = np.exp(1j * phi) * d0
+    elif kind == "conjugate_phases":  # e^{+i phi} or e^{-i phi}: the same |m_i|
+        d1 = d0 * np.exp(1j * phi * rng.choice([-1.0, 1.0], size=dim))
+    elif kind == "signs":  # the search oracle's kind: |m_i| is |p0 - p1| or p0 + p1
+        d1 = d0 * rng.choice([-1.0, 1.0], size=dim)
+    else:
+        d1 = np.exp(1j * rng.uniform(0, 2 * math.pi, dim))
+    weights = np.array([p0, 1.0 - p0])
+    gate = DualityGate(weights, (PhaseDiagonal(d0), PhaseDiagonal(d1)))
+    dense = DualityGate(weights, (np.diag(d0), np.diag(d1)))
+    want, deviation = gram_rule_recovery(gate)
+    assume(want is not None or deviation > 1e-6)
+    v, dense_v = exact_recovery(gate), exact_recovery(dense)
+    assert (v is None) == (dense_v is None) == (want is None)
+    if kind in ("proportional", "conjugate_phases"):
+        assert v is not None
+    if want is not None:
+        assert np.abs(v - dense_v).max() <= 1e-12 and np.abs(v - want).max() <= 1e-12
+        assert np.array_equal(v, np.diag(np.diag(v)))
+
+
+def test_diagonal_exact_recovery_tolerance_is_relative_to_c():
+    # p0 = p1 and phases 0.2 and 0.2 + delta: c ~ 0.02, and |m_1|^2 - c ~ 0.05 delta.
+    # delta = 1e-9 is within the Gram rule's 1e-10 (so within 1e-10 / c of the
+    # scaled rule, not within 1e-10); delta = 4e-9 is past it
+    for delta, accepted in ((1e-9, True), (4e-9, False)):
+        d1 = np.exp(1j * np.array([0.2, 0.2 + delta]))
+        gate = DualityGate(np.array([0.5, 0.5]), (PhaseDiagonal([1.0, 1.0]), PhaseDiagonal(d1)))
+        want, deviation = gram_rule_recovery(gate)
+        assert (want is not None) == accepted and 0.02 * DEFAULT_UNITARY_TOL < deviation
+        v = exact_recovery(gate)
+        assert (v is not None) == accepted
+        if accepted:
+            assert np.abs(v - want).max() <= 1e-12
 
 
 def test_exact_recovery_contract_on_random_proportional_gates():
@@ -268,9 +318,20 @@ def test_two_circuits_sharing_one_reset_keep_separate_readouts(monkeypatch):
     assert calls == [(circuits[0], state), (circuits[1], state)]
 
 
-def test_unitary_recovery_reruns_the_dilation_only_for_a_new_state(monkeypatch):
-    # every cycle asks the circuit for a readout; the dilation runs only when
-    # that cycle's state differs in bits from the one before it, across trials
+def chain_states(circuit, strategy, state, length):
+    """Bytes of the work states at the top of cycles 1..length of a trial that
+    keeps missing: the input, then the recovery of each miss work state."""
+    states = [state]
+    while len(states) < length:
+        miss = conditional_measure(run_dilation(states[-1], circuit), 1, FixedRandom([1.0]))
+        states.append(StateVector(1, strategy.recovery @ miss.post_state.amplitudes[2:]))
+    return [s.amplitudes.tobytes() for s in states]
+
+
+def test_unitary_recovery_dilates_each_chain_state_once(monkeypatch):
+    # the state at cycle k is the same in every trial, so across trials on one
+    # circuit each distinct state of the chain is dilated once, the first time
+    # a trial reaches it; every trial starts on the circuit's kept readout
     state = basis_state(1, 0)
     starts = []
     real_readout = DilationCircuit.readout
@@ -279,19 +340,23 @@ def test_unitary_recovery_reruns_the_dilation_only_for_a_new_state(monkeypatch):
         starts.append(work_state.amplitudes.tobytes())
         return real_readout(self, work_state)
 
-    monkeypatch.setattr(DilationCircuit, "readout", recording_readout)
-    calls = count_dilations(monkeypatch)
+    # ExactUnitary drifts in the last bits for 52 cycles and then stays at a
+    # bit-exact fixed point; Custom(Z) keeps drifting
     for strategy in (ExactUnitary(exact_recovery(PHASE_SLIT)), Custom(Z)):
         circuit = build_dilation(PHASE_SLIT)
-        total_cycles = 0
+        chain = chain_states(circuit, strategy, state, 80)
+        monkeypatch.setattr(DilationCircuit, "readout", recording_readout)
+        calls = count_dilations(monkeypatch)
         starts.clear()
-        calls.clear()
-        for t in range(20):
-            total_cycles += run_recycling(state, circuit, strategy, 50,
-                                          rng=trial_rng(9, t)).cycles_used
-        assert len(starts) == total_cycles
-        changes = sum(1 for prev, cur in zip([None] + starts, starts) if cur != prev)
-        assert len(calls) == changes < total_cycles
+        cycles = [run_recycling(state, circuit, strategy, 80, rng=trial_rng(9, t)).cycles_used
+                  for t in range(20)]
+        monkeypatch.undo()
+        deepest = chain[:max(cycles)]
+        distinct = 1 + sum(cur != prev for prev, cur in zip(deepest, deepest[1:]))
+        assert starts == [state.amplitudes.tobytes()] * 20
+        assert [s.amplitudes.tobytes() for _, s in calls] == list(dict.fromkeys(deepest))
+        assert len(calls) == distinct < sum(cycles)
+        assert 1 < max(cycles) <= distinct  # the trials reach past the first cycle
 
 
 def test_threads_sharing_a_circuit_get_the_readout_of_their_own_input():

@@ -4,12 +4,15 @@
 last input, and draws a run of repeated measurements in chunks when the
 generator is a rewindable PCG64 ``Generator``; the reference runs the
 dilation and ``conditional_measure`` on every cycle, one scalar draw at a
-time.  Under Reset, ExactUnitary and Custom recovery, with one circuit
-shared across trials, and with generators that take the chunked or the
-scalar path, the two must give the same cycle count, outcome and
-post-state bytes, leave the generator in the same state, and raise
-``DegenerateBranchError`` at the same draw.  A bad input is refused before
-the first draw.
+time.  Under unitary recovery it also follows the ``Readout.after_miss``
+links that earlier trials stored, up to a bound on the links one chain
+keeps.  Under Reset, ExactUnitary and Custom recovery, with one circuit
+shared across trials (also by alternating strategies), across the link
+bound, at a bit-exact fixed point, and with generators that take the
+chunked or the scalar path, the two must give the same cycle count,
+outcome and post-state bytes, leave the generator in the same state, and
+raise ``DegenerateBranchError`` at the same draw.  A bad input is refused
+before the first draw.
 """
 import itertools
 import json
@@ -26,6 +29,7 @@ from dualsim import (
     DualityGate,
     ExactUnitary,
     Hit,
+    Readout,
     Reset,
     SearchProblem,
     StateVector,
@@ -37,6 +41,7 @@ from dualsim import (
     hybrid_search,
     random_state,
     random_unitary,
+    recycling,
     run_dilation,
     run_recycling,
     run_search_experiment,
@@ -200,10 +205,100 @@ def test_unitary_recovery_loop_matches_reference(recovery, num_qubits, gate_seed
         strategy = Custom(random_unitary(gate.dim, rng))
     circuit = build_dilation(gate)
     state = random_state(num_qubits, rng)
-    # one circuit across the trials: a trial may start on the readout the
-    # previous trial left kept on it
-    for t in range(4):
+    # one circuit across the trials: a trial starts on the readout kept for
+    # the input and follows the links the trials before it stored
+    for t in range(12):
         assert_same_run(state, circuit, strategy, max_cycles, lambda: trial_rng(run_seed, t))
+
+
+@settings(max_examples=30, deadline=None)
+@given(num_qubits=st.integers(1, 2), gate_seed=st.integers(0, 2**32 - 1),
+       run_seed=st.integers(0, 2**32 - 1), max_cycles=st.integers(1, 40))
+def test_alternating_recovery_strategies_on_one_circuit_match_reference(
+        num_qubits, gate_seed, run_seed, max_cycles):
+    # a link is kept for one strategy: the other one, on the same readouts,
+    # must not follow it
+    rng = np.random.default_rng(gate_seed)
+    gate = exactly_recoverable_gate(num_qubits, rng)
+    strategies = (ExactUnitary(exact_recovery(gate)), Custom(random_unitary(gate.dim, rng)))
+    circuit = build_dilation(gate)
+    state = random_state(num_qubits, rng)
+    for t in range(12):
+        assert_same_run(state, circuit, strategies[t % 2], max_cycles,
+                        lambda: trial_rng(run_seed, t))
+
+
+def linked_readouts(readout):
+    """Readouts reached through ``after_miss`` links, in order, and whether
+    the last one links back to itself."""
+    chain = [readout]
+    while chain[-1].after_miss is not None:
+        nxt = chain[-1].after_miss[2]
+        if nxt is chain[-1]:
+            return chain, True
+        chain.append(nxt)
+    return chain, False
+
+
+def test_fixed_point_recovery_draws_in_chunks(monkeypatch):
+    # p0 = p1, U1 = e^{2.5i} U0 from |0>: P0 = 0.099, and the recovered state
+    # is bit for bit the one before it from the third cycle on, so that
+    # readout links to itself and the rest of the trial is drawn in chunks
+    gate = DualityGate(np.array([0.5, 0.5]), (I2, np.exp(2.5j) * I2))
+    circuit = build_dilation(gate)
+    state = basis_state(1, 0)
+    strategy = ExactUnitary(exact_recovery(gate))
+    chunked = []
+    real = Readout.measure_until_hit
+
+    def counting(self, rng, limit):
+        chunked.append(limit)
+        return real(self, rng, limit)
+
+    monkeypatch.setattr(Readout, "measure_until_hit", counting)
+    for t in range(12):
+        assert_same_run(state, circuit, strategy, 300, lambda: trial_rng(21, t))
+    assert len(chunked) >= 5
+    chain, self_link = linked_readouts(circuit.readout(state))
+    assert len(chain) == 3 and self_link
+
+
+def link_bytes(circuit):
+    """What one link counts against the bound: four full-register vectors
+    and the allowance for its Python objects."""
+    return 4 * 16 * (2 * circuit.gate.dim) + recycling.LINK_OBJECT_BYTES
+
+
+@settings(max_examples=30, deadline=None)
+@given(num_qubits=st.integers(1, 2), links=st.integers(1, 12),
+       gate_seed=st.integers(0, 2**32 - 1), run_seed=st.integers(0, 2**32 - 1))
+def test_runs_across_the_link_bound_match_reference(num_qubits, links, gate_seed, run_seed):
+    rng = np.random.default_rng(gate_seed)
+    gate = random_gate(2, num_qubits, rng)
+    strategy = Custom(random_unitary(gate.dim, rng))
+    circuit = build_dilation(gate)
+    state = random_state(num_qubits, rng)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recycling, "MAX_DENSE_BYTES", links * link_bytes(circuit) + 1)
+        for t in range(12):
+            assert_same_run(state, circuit, strategy, 40, lambda: trial_rng(run_seed, t))
+    chain, self_link = linked_readouts(circuit.readout(state))
+    assert len(chain) - 1 + self_link <= links
+
+
+def test_drifting_exhausted_run_keeps_no_link_past_the_bound(monkeypatch):
+    # P0 = 0 and Custom(e^{0.3i} I) turns the phase on every miss: each cycle
+    # has a new state, so without a bound an exhausted trial links them all
+    gate = DualityGate(np.array([0.5, 0.5]), (I2, -I2))
+    circuit = build_dilation(gate)
+    state = basis_state(1, 0)
+    strategy = Custom(np.exp(0.3j) * I2)
+    monkeypatch.setattr(recycling, "MAX_DENSE_BYTES", 25 * link_bytes(circuit))
+    for t in range(3):
+        assert_same_run(state, circuit, strategy, 200, lambda: trial_rng(5, t))
+        chain, self_link = linked_readouts(circuit.readout(state))
+        assert len(chain) == 26 and not self_link  # the input's readout and 25 links
+    assert run_recycling(state, circuit, strategy, 200, rng=trial_rng(5, 0)).exhausted
 
 
 @settings(max_examples=20, deadline=None)

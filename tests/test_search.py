@@ -98,10 +98,12 @@ def test_large_search_gate_refuses_explicit_matrices_before_allocating(monkeypat
 
     for name in ("zeros", "empty", "eye", "diag", "zeros_like", "empty_like"):
         monkeypatch.setattr(np, name, refuse)
-    for needs_matrix in (gate.matrix, circuit.effective_operator, lambda: exact_recovery(gate),
+    for needs_matrix in (gate.matrix, circuit.effective_operator,
                          lambda: classify_duality_gate(gate)):
         with pytest.raises(ValueError, match="65536x65536 matrix needs 68719476736 bytes"):
             needs_matrix()
+    # two phase-diagonal slits: "no recovery" is decided from their diagonals
+    assert exact_recovery(gate) is None
 
 
 def test_duality_search_step_uniform_law():

@@ -16,8 +16,15 @@ on checkouts from 170be87 on.  Layers:
                              over 2000 trials
   cycle.reset_chunked_us     the same with a PCG64 Generator, which the loop
                              draws in chunks
+  cycle.exact_us             one ExactUnitary cycle: phase-slit gate, input
+                             |0>, PCG64 Generators, time per cycle over 2000
+                             trials on one circuit built for the round
   trial.exhausted_1e6_ms     one Reset trial with P0 = 0 (search gate n = 4,
                              marked 13, input |0>) that spends 10**6 cycles
+  trial.exhausted_drift_ms   one Custom(e^{0.3i} I) trial on the P0 = 0 gate
+                             (I, -I) from |0>: 2*10**5 cycles, each from a new
+                             state, on a circuit built for the round, and
+                             freeing that circuit afterwards
   circuit.gate_n8_ms         ``duality_gate_of`` + ``build_dilation`` of a
   circuit.gate_n10_ms        two-slit block of 12 h/t/cx lines per slit (the
                              ``circuit_dense`` kind of block) at n = 8 and 10
@@ -96,10 +103,10 @@ def timed(call) -> tuple[int, int]:
 def measure(repeats: int) -> dict:
     import numpy as np
 
-    from dualsim import (Reset, SearchProblem, basis_state, build_dilation, exact_recovery,
-                         format_matrix_text, parse_circuit, run_dilation, run_recycling,
-                         run_search_experiment, search, search_gate, trial_rng, trial_rngs,
-                         uniform_state)
+    from dualsim import (Custom, DualityGate, ExactUnitary, Reset, SearchProblem, basis_state,
+                         build_dilation, exact_recovery, format_matrix_text, parse_circuit,
+                         run_dilation, run_recycling, run_search_experiment, search,
+                         search_gate, trial_rng, trial_rngs, uniform_state)
     from dualsim.circuit import duality_gate_of
 
     def seeding_single():
@@ -127,6 +134,38 @@ def measure(repeats: int) -> dict:
         for rng in rngs:
             cycles += run_recycling(prepared, circuit, strategy, 1024, rng=rng).cycles_used
         return time.perf_counter_ns() - start, cycles
+
+    eye = np.eye(2, dtype=np.complex128)
+    qubit_zero = basis_state(1, 0)
+    phase_slit = DualityGate(np.array([0.5, 0.5]), (eye, 1j * eye))
+    exact_strategy = ExactUnitary(exact_recovery(phase_slit))
+
+    def exact_cycles():
+        rngs = [np.random.default_rng(np.random.SeedSequence(SEED, spawn_key=(t,)))
+                for t in range(TRIALS)]
+        phase_circuit = build_dilation(phase_slit)
+        cycles = 0
+        start = time.perf_counter_ns()
+        for rng in rngs:
+            cycles += run_recycling(qubit_zero, phase_circuit, exact_strategy, 128,
+                                    rng=rng).cycles_used
+        return time.perf_counter_ns() - start, cycles
+
+    never_hit = DualityGate(np.array([0.5, 0.5]), (eye, -eye))
+    drift_strategy = Custom(np.exp(0.3j) * eye)
+
+    def drifting_trial():
+        rng = np.random.default_rng(SEED)
+        drift_circuit = build_dilation(never_hit)
+        start = time.perf_counter_ns()
+        run = run_recycling(qubit_zero, drift_circuit, drift_strategy, 2 * 10**5, rng=rng)
+        assert run.exhausted and run.cycles_used == 2 * 10**5
+        # The trial's cost includes freeing what it kept (the circuit's chain
+        # of links): drop it here, and make one request past glibc's small
+        # bins, which merges the freed blocks now instead of in the next layer.
+        del run, drift_circuit
+        bytearray(1 << 12)
+        return time.perf_counter_ns() - start, 1
 
     zero = basis_state(4, 0)
     exhaust_strategy = Reset(zero)
@@ -158,7 +197,9 @@ def measure(repeats: int) -> dict:
               "seeding.trial_rngs_us": seeding_blocked,
               "cycle.reset_scalar_us": lambda: reset_cycles(ScalarDraws),
               "cycle.reset_chunked_us": lambda: reset_cycles(lambda g: g),
+              "cycle.exact_us": exact_cycles,
               "trial.exhausted_1e6_ms": exhausted_trial,
+              "trial.exhausted_drift_ms": drifting_trial,
               "circuit.gate_n8_ms": lambda: timed(lambda: build_dilation(duality_gate_of(*blocks[8]))),
               "circuit.gate_n10_ms": lambda: timed(lambda: build_dilation(duality_gate_of(*blocks[10]))),
               "dilation.run_n10_ms": lambda: timed(lambda: run_dilation(uniform10, circuit10)),
