@@ -69,6 +69,7 @@ from .recycling import (
     exact_recovery,
     expected_cycles,
     run_recycling,
+    run_trials,
 )
 from .search import (
     Exhausted,
@@ -78,9 +79,7 @@ from .search import (
     TrialResult,
     duality_search_step,
     grover_iterate,
-    grover_oracle,
     hybrid_search,
-    oracle_unitary,
     repetition_curve,
     run_search_experiment,
     search_gate,

@@ -25,16 +25,14 @@ import numpy as np
 from .circuit import parse_circuit, run_circuit
 from .duality import DualityGate, Hit, build_dilation
 from .opalg import DEFAULT_NORMAL_TOL, lcu_decompose, normal_decompose
-from .rand import trial_rngs
 from .recycling import (
     Custom,
     ExactUnitary,
     InfiniteExpectationError,
     Reset,
-    default_max_cycles,
     exact_recovery,
     expected_cycles,
-    run_recycling,
+    run_trials,
 )
 from .search import SearchProblem, repetition_curve, run_search_experiment, search_gate
 from .statevec import basis_state, format_matrix_text, norm, parse_matrix_text, uniform_state
@@ -164,11 +162,12 @@ def _recycle_gate(args) -> DualityGate:
 
 def cmd_recycle(args, argv: list[str]) -> int:
     gate = _recycle_gate(args)
+    circuit = build_dilation(gate)
     state = _initial_state(args.init, gate.num_qubits)
     if args.recovery == "reset":
         strategy = Reset(state)
     elif args.recovery == "exact":
-        v = exact_recovery(gate)
+        v = exact_recovery(circuit)
         if v is None:
             raise ValueError("no exact recovery unitary exists for this gate; use --recovery reset")
         strategy = ExactUnitary(v)
@@ -176,25 +175,19 @@ def cmd_recycle(args, argv: list[str]) -> int:
         if args.recovery_matrix is None:
             raise ValueError("--recovery custom needs --recovery-matrix")
         strategy = Custom(parse_matrix_text(Path(args.recovery_matrix).read_text(encoding="utf-8")))
-    circuit = build_dilation(gate)
-    max_cycles = args.max_cycles if args.max_cycles is not None else default_max_cycles(gate, state)
-    hist: Counter[int] = Counter()
-    hits = 0
-    total_cycles = 0
-    for rng in trial_rngs(args.seed, range(args.trials)):
-        run = run_recycling(state, circuit, strategy, max_cycles, rng=rng)
-        hist[run.cycles_used] += 1
-        hits += not run.exhausted
-        total_cycles += run.cycles_used
-    mean_cycles = total_cycles / args.trials
+    cycles, hit_index = run_trials(state, circuit, strategy, args.max_cycles, args.seed,
+                                   range(args.trials))
+    hits = int((hit_index >= 0).sum())
+    mean_cycles = int(cycles.sum()) / args.trials
     try:
         expectation = _fmt(expected_cycles(gate, state))
     except InfiniteExpectationError:
         expectation = "inf"
     lines = _comment_header(args.seed, argv)
     lines.append("cycles,count")
-    for cycles in sorted(hist):
-        lines.append(f"{cycles},{hist[cycles]}")
+    hist = Counter(cycles.tolist())
+    for value in sorted(hist):
+        lines.append(f"{value},{hist[value]}")
     _write_text(args.out, "\n".join(lines) + "\n")
     print(f"trials={args.trials} hits={hits} exhausted={args.trials - hits}")
     print(f"mean_cycles={_fmt(mean_cycles)}")

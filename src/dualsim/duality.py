@@ -284,8 +284,6 @@ class DilationCircuit:
             raise ValueError(f"combine operator has dim {comb.shape[0]}, prepare has {dim_aux}")
         object.__setattr__(self, "prepare", checked_unitary(prepare, "prepare operator"))
         object.__setattr__(self, "combine", checked_unitary(comb, "combine operator"))
-        # (input state, its Readout) of the last ``readout`` call; not a field
-        object.__setattr__(self, "_last_readout", (None, None))
 
     @property
     def num_work_qubits(self) -> int:
@@ -312,25 +310,7 @@ class DilationCircuit:
         return out
 
     def readout(self, work_state: StateVector) -> Readout:
-        """``Readout`` of ``run_dilation(work_state, self)``, kept for the last input.
-
-        The kept readout is returned again when the next input is the same
-        object or has bit-for-bit equal amplitudes (so -0.0 and 0.0 differ):
-        an experiment that shares this circuit across its trials runs the
-        dilation once for its input.  ``run_recycling`` asks here only for
-        a trial's input; the states after a miss under unitary recovery are
-        reached through ``Readout.after_miss`` links and built with
-        ``fresh_readout``, so they never displace the input.
-        """
-        last, kept = self._last_readout
-        if work_state is not last:
-            if last is None or work_state.amplitudes.tobytes() != last.amplitudes.tobytes():
-                kept = self.fresh_readout(work_state)
-            object.__setattr__(self, "_last_readout", (work_state, kept))
-        return kept
-
-    def fresh_readout(self, work_state: StateVector) -> Readout:
-        """``Readout`` of ``run_dilation(work_state, self)``, built anew and not kept."""
+        """``Readout`` of ``run_dilation(work_state, self)``; nothing is kept."""
         return Readout(run_dilation(work_state, self), self.num_aux_qubits)
 
 
@@ -460,15 +440,9 @@ class Readout:
     measuring the same state pays one draw per measurement, and
     ``measure_until_hit`` draws a run of them as one array.  A degenerate
     branch raises ``DegenerateBranchError`` every time it is drawn.
-
-    ``after_miss`` is where the miss branch leads under a recovery
-    strategy: None, or the ``(strategy, next work state, its Readout)``
-    that ``run_recycling`` stores the first time it recovers from this
-    readout's miss, so later trials follow it instead of recovering and
-    dilating again.
     """
 
-    __slots__ = ("p_hit", "after_miss", "_full", "_num_work", "_block", "_hit", "_miss")
+    __slots__ = ("p_hit", "_full", "_num_work", "_block", "_hit", "_miss")
 
     def __init__(self, full_state: StateVector, num_aux_qubits: int):
         w = _split_registers(full_state, num_aux_qubits)
@@ -478,7 +452,6 @@ class Readout:
         self._num_work = w
         self._block = block = full_state.amplitudes[: 1 << w]
         self.p_hit = float(np.vdot(block, block).real)
-        self.after_miss: tuple[object, StateVector, Readout] | None = None
         self._hit: tuple[StateVector, np.ndarray] | None = None
         self._miss: Miss | None = None
 

@@ -11,7 +11,6 @@ beta = arcsin(sqrt(M/N)).
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,8 +23,7 @@ from .duality import (
     PhaseDiagonal,
     build_dilation,
 )
-from .rand import trial_rngs
-from .recycling import Reset, cycle_budget, run_recycling
+from .recycling import Reset, cycle_budget, run_recycling, run_trials
 from .statevec import StateVector, _fresh_state, invert_about_mean, oracle_phases, uniform_state
 
 
@@ -91,16 +89,6 @@ class HybridParams:
         return math.sin((2 * self.j + 1) * self.beta) ** 2
 
 
-def oracle_unitary(problem: SearchProblem) -> np.ndarray:
-    """Diagonal with +1 on marked indices and -1 elsewhere."""
-    return np.diag(oracle_phases(problem.size, problem.marked).astype(np.complex128))
-
-
-def grover_oracle(problem: SearchProblem) -> np.ndarray:
-    """Standard phase oracle: -1 on marked, +1 elsewhere (negated oracle_unitary)."""
-    return -oracle_unitary(problem)
-
-
 def search_gate(problem: SearchProblem) -> DualityGate:
     """The symmetric 2-slit gate {oracle/2, identity/2}, both slits phase
     diagonals (O(N) memory and work).
@@ -138,9 +126,8 @@ def duality_search_step(state: StateVector, problem: SearchProblem,
 
     A Hit's sampled index is always marked (the aux=0 block is the marked
     projection of the input); the Miss state is the normalized unmarked
-    remainder on the aux=1 branch.  The problem object keeps its circuit,
-    which keeps the readout of its last state, so repeated steps on one
-    problem object and one state run the dilation once.
+    remainder on the aux=1 branch.  Each call runs the dilation once, on
+    the problem's circuit.
     """
     return problem._circuit.readout(state).measure(rng)
 
@@ -154,21 +141,15 @@ class TrialResult:
     analytic_success_prob: float
 
 
-def _search_trials(problem: SearchProblem, j: int, max_repetitions: int | None,
-                   rngs) -> Iterator[TrialResult]:
-    """One repeat-until-hit trial per generator in ``rngs``: the recycling
-    loop on the problem's circuit, with Reset to the prepared state (the
-    uniform state after j amplification rounds) after every miss; all share
-    one budget, Reset and circuit."""
+def _search_setup(problem: SearchProblem, j: int,
+                 max_repetitions: int | None) -> tuple[float, int, Reset]:
+    """(per-attempt hit probability, budget, Reset to the prepared state) of a
+    hybrid search: the prepared state is the uniform state after j
+    amplification rounds."""
     params = HybridParams.for_problem(problem, j)
     budget = cycle_budget(params.success_prob) if max_repetitions is None else max_repetitions
     prepared = uniform_state(problem.num_qubits)
-    strategy = Reset(grover_iterate(prepared, problem, j) if j else prepared)
-    circuit = problem._circuit
-    for rng in rngs:
-        run = run_recycling(strategy.input, circuit, strategy, budget, rng=rng)
-        hit_index = None if run.exhausted else run.outcome.sampled_index
-        yield TrialResult(run.cycles_used, hit_index, params.success_prob)
+    return params.success_prob, budget, Reset(grover_iterate(prepared, problem, j) if j else prepared)
 
 
 def hybrid_search(problem: SearchProblem, j: int, max_repetitions: int | None = None, *,
@@ -178,13 +159,14 @@ def hybrid_search(problem: SearchProblem, j: int, max_repetitions: int | None = 
 
     Each attempt re-prepares from scratch; since preparation is
     deterministic the prepared state is computed once and every attempt is
-    a recycling cycle under Reset.  Raises Exhausted when the budget runs
-    out.
+    a recycling cycle under Reset, on the problem's circuit.  Raises
+    Exhausted when the budget runs out.
     """
-    res = next(_search_trials(problem, j, max_repetitions, (rng,)))
-    if res.hit_index is None:
-        raise Exhausted(f"no hit within {res.repetitions} repetitions")
-    return res
+    p_hit, budget, strategy = _search_setup(problem, j, max_repetitions)
+    run = run_recycling(strategy.input, problem._circuit, strategy, budget, rng=rng)
+    if run.exhausted:
+        raise Exhausted(f"no hit within {run.cycles_used} repetitions")
+    return TrialResult(run.cycles_used, run.outcome.sampled_index, p_hit)
 
 
 @dataclass(frozen=True)
@@ -213,17 +195,19 @@ def run_search_experiment(problem: SearchProblem, j: int, trials: int, seed: int
     """``trials`` independent hybrid searches on rng streams derived from
     (seed, trial index); aggregation is order-independent.
 
-    All trials share one prepared state, one Reset and the problem's
-    dilation circuit, which keeps the prepared state's readout: the
-    dilation runs once per experiment.
+    All trials run in one ``run_trials`` call on the problem's circuit,
+    with one Reset to the prepared state: the dilation runs once per
+    experiment.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    results = tuple(_search_trials(problem, j, max_repetitions, trial_rngs(seed, range(trials))))
-    hits = sum(1 for r in results if r.hit_index is not None)
-    total = sum(r.repetitions for r in results)
-    return SearchStats(trials, hits, total, hits / trials, results[0].analytic_success_prob,
-                       results)
+    p_hit, budget, strategy = _search_setup(problem, j, max_repetitions)
+    cycles, hit_index = run_trials(strategy.input, problem._circuit, strategy, budget, seed,
+                                   range(trials))
+    results = tuple(TrialResult(reps, None if hit < 0 else hit, p_hit)
+                    for reps, hit in zip(cycles.tolist(), hit_index.tolist()))
+    hits = int((hit_index >= 0).sum())
+    return SearchStats(trials, hits, int(cycles.sum()), hits / trials, p_hit, results)
 
 
 def repetition_curve(num_items: int, num_marked: int, j_max: int) -> list[tuple[int, float, float]]:

@@ -34,10 +34,9 @@ from dualsim import (
     random_state,
     random_unitary,
     run_dilation,
-    run_recycling,
     run_search_experiment,
+    run_trials,
     search_gate,
-    trial_rngs,
     uniform_state,
 )
 from dualsim.cli import main
@@ -100,10 +99,7 @@ def test_criterion_3_recycling_expectation():
     state = uniform_state(4)
     circuit = build_dilation(gate)
     trials = 20_000
-    counts = np.empty(trials)
-    for t, rng in enumerate(trial_rngs(303, range(trials))):
-        run = run_recycling(state, circuit, Reset(state), 4096, rng=rng)
-        counts[t] = run.cycles_used
+    counts = run_trials(state, circuit, Reset(state), 4096, 303, range(trials))[0].astype(float)
     se = counts.std(ddof=1) / math.sqrt(trials)
     dev_search = abs(counts.mean() - 16.0)
     ok_search = dev_search <= 3 * se
@@ -111,15 +107,12 @@ def test_criterion_3_recycling_expectation():
     # phase-slit gate with the detected exact recovery: mean 2
     phase_gate = DualityGate(np.array([0.5, 0.5]),
                              (np.eye(2, dtype=complex), 1j * np.eye(2, dtype=complex)))
-    v = exact_recovery(phase_gate)
-    strategy = ExactUnitary(v)
     phase_circuit = build_dilation(phase_gate)
+    v = exact_recovery(phase_circuit)
+    strategy = ExactUnitary(v)
     zero = basis_state(1, 0)
     trials2 = 50_000
-    counts2 = np.empty(trials2)
-    for t, rng in enumerate(trial_rngs(404, range(trials2))):
-        run = run_recycling(zero, phase_circuit, strategy, 512, rng=rng)
-        counts2[t] = run.cycles_used
+    counts2 = run_trials(zero, phase_circuit, strategy, 512, 404, range(trials2))[0].astype(float)
     se2 = counts2.std(ddof=1) / math.sqrt(trials2)
     dev_phase = abs(counts2.mean() - 2.0)
     ok_phase = v is not None and dev_phase <= 3 * se2

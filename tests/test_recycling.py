@@ -1,13 +1,13 @@
+import gc
 import math
-import sys
-import threading
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import FixedRandom, count_dilations
+from conftest import FixedRandom, count_dilations, global_phase_dev
 from dualsim import (
     DEFAULT_UNITARY_TOL,
     Custom,
@@ -26,17 +26,16 @@ from dualsim import (
     conditional_measure,
     cycle_budget,
     default_max_cycles,
+    duality,
     exact_recovery,
     expected_cycles,
-    hit_probability,
     is_unitary,
     random_state,
     random_unitary,
     run_dilation,
     run_recycling,
+    run_trials,
     search_gate,
-    trial_rng,
-    trial_rngs,
     uniform_state,
 )
 from dualsim.duality import DEGENERATE_BRANCH_TOL
@@ -45,10 +44,11 @@ I2 = np.eye(2, dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 PHASE_SLIT = DualityGate(np.array([0.5, 0.5]), (I2, 1j * I2))
+PHASE_SLIT_V = exact_recovery(build_dilation(PHASE_SLIT))
 
 
 def test_exact_recovery_phase_slit():
-    v = exact_recovery(PHASE_SLIT)
+    v = PHASE_SLIT_V
     assert v is not None
     assert is_unitary(v, 1e-10)
     # V = M†/sqrt(c) with M = (1-i)/2 I, c = 1/2: the e^{i pi/4} phase
@@ -59,21 +59,28 @@ def test_exact_recovery_phase_slit():
 
 def test_exact_recovery_absent_cases():
     # search-oracle gate: miss operator is a projector, not proportional to a unitary
-    assert exact_recovery(search_gate(SearchProblem(2, frozenset({1})))) is None
+    assert exact_recovery(build_dilation(search_gate(SearchProblem(2, frozenset({1}))))) is None
     # equal slits: zero miss branch
-    assert exact_recovery(DualityGate(np.array([0.5, 0.5]), (I2, I2))) is None
-    # only defined for 2 slits
+    assert exact_recovery(build_dilation(DualityGate(np.array([0.5, 0.5]), (I2, I2)))) is None
+    # only defined for a single auxiliary qubit (2 slits)
     gate3 = DualityGate(np.array([0.4, 0.3, 0.3]), (I2, I2, I2))
-    assert exact_recovery(gate3) is None
+    assert exact_recovery(build_dilation(gate3)) is None
 
 
-def gram_rule_recovery(gate):
-    """Reference: M†M and c·I formed in full, accepted iff max |M†M - cI| <= tol."""
-    u0, u1 = gate.dense_unitaries()
-    m = gate.weights[0] * u0 - gate.weights[1] * u1
+def miss_operator(circuit):
+    """The miss block's operator, sum_i combine[1, i] prepare[i, 0] U_i, as a matrix."""
+    u0, u1 = circuit.gate.dense_unitaries()
+    c0, c1 = circuit.combine[1, :] * circuit.prepare[:, 0]
+    return c0 * u0 + c1 * u1
+
+
+def gram_rule_recovery(circuit):
+    """Reference: M†M and c·I formed in full for the circuit's miss operator M,
+    accepted iff max |M†M - cI| <= tol."""
+    m = miss_operator(circuit)
     gram = m.conj().T @ m
     c = float(np.mean(np.diag(gram)).real)
-    deviation = float(np.abs(gram - c * np.eye(gate.dim)).max())
+    deviation = float(np.abs(gram - c * np.eye(circuit.gate.dim)).max())
     if c <= DEGENERATE_BRANCH_TOL or deviation > DEFAULT_UNITARY_TOL:
         return None, deviation
     return m.conj().T / math.sqrt(c), deviation
@@ -88,10 +95,10 @@ def test_exact_recovery_agrees_with_the_full_gram_rule(num_qubits, proportional,
     rng = np.random.default_rng(seed)
     u0 = random_unitary(1 << num_qubits, rng)
     u1 = np.exp(1j * phi) * u0 if proportional else random_unitary(1 << num_qubits, rng)
-    gate = DualityGate(np.array([p0, 1.0 - p0]), (u0, u1))
-    want, deviation = gram_rule_recovery(gate)
+    circuit = build_dilation(DualityGate(np.array([p0, 1.0 - p0]), (u0, u1)))
+    want, deviation = gram_rule_recovery(circuit)
     assume(proportional or deviation > 1e-6)
-    v = exact_recovery(gate)
+    v = exact_recovery(circuit)
     assert (v is None) == (want is None) == (not proportional)
     if proportional:
         assert np.abs(v - want).max() <= 1e-12
@@ -117,11 +124,11 @@ def test_diagonal_exact_recovery_agrees_with_the_dense_rule(num_qubits, kind, p0
     else:
         d1 = np.exp(1j * rng.uniform(0, 2 * math.pi, dim))
     weights = np.array([p0, 1.0 - p0])
-    gate = DualityGate(weights, (PhaseDiagonal(d0), PhaseDiagonal(d1)))
-    dense = DualityGate(weights, (np.diag(d0), np.diag(d1)))
-    want, deviation = gram_rule_recovery(gate)
+    circuit = build_dilation(DualityGate(weights, (PhaseDiagonal(d0), PhaseDiagonal(d1))))
+    dense = build_dilation(DualityGate(weights, (np.diag(d0), np.diag(d1))))
+    want, deviation = gram_rule_recovery(circuit)
     assume(want is not None or deviation > 1e-6)
-    v, dense_v = exact_recovery(gate), exact_recovery(dense)
+    v, dense_v = exact_recovery(circuit), exact_recovery(dense)
     assert (v is None) == (dense_v is None) == (want is None)
     if kind in ("proportional", "conjugate_phases"):
         assert v is not None
@@ -137,9 +144,10 @@ def test_diagonal_exact_recovery_tolerance_is_relative_to_c():
     for delta, accepted in ((1e-9, True), (4e-9, False)):
         d1 = np.exp(1j * np.array([0.2, 0.2 + delta]))
         gate = DualityGate(np.array([0.5, 0.5]), (PhaseDiagonal([1.0, 1.0]), PhaseDiagonal(d1)))
-        want, deviation = gram_rule_recovery(gate)
+        circuit = build_dilation(gate)
+        want, deviation = gram_rule_recovery(circuit)
         assert (want is not None) == accepted and 0.02 * DEFAULT_UNITARY_TOL < deviation
-        v = exact_recovery(gate)
+        v = exact_recovery(circuit)
         assert (v is not None) == accepted
         if accepted:
             assert np.abs(v - want).max() <= 1e-12
@@ -154,13 +162,47 @@ def test_exact_recovery_contract_on_random_proportional_gates():
         gate = DualityGate(np.array([0.5, 0.5]), (u, phase * u))
         m = 0.5 * u - 0.5 * phase * u
         c = float(np.mean(np.diag(m.conj().T @ m)).real)
-        v = exact_recovery(gate)
+        v = exact_recovery(build_dilation(gate))
         if c <= 1e-14:
             assert v is None
             continue
         assert v is not None
         assert is_unitary(v, 1e-10)
         assert np.abs(v @ (m / math.sqrt(c)) - np.eye(4)).max() <= 1e-10
+
+
+@settings(max_examples=80, deadline=None)
+@given(num_qubits=st.integers(1, 3), p0=st.floats(0.05, 0.95), custom_stages=st.booleans(),
+       alpha=st.floats(0.0, 2 * math.pi), seed=st.integers(0, 2**32 - 1))
+def test_exact_recovery_restores_the_input_for_any_weights_and_stages(num_qubits, p0,
+                                                                      custom_stages, alpha, seed):
+    # U1 = U0 D with D = e^{i alpha} P + e^{i (2 psi - alpha)} (I - P), P a random
+    # projector of rank 1..N-1 and psi = arg(a conj(b)) for the miss block's
+    # coefficients a, b: |a + b lambda| is the same on both eigenvalues, so the
+    # miss operator U0 (a I + b D) is proportional to a unitary although D is
+    # not a multiple of I and p0 != p1
+    rng = np.random.default_rng(seed)
+    dim = 1 << num_qubits
+    stages = (random_unitary(2, rng), random_unitary(2, rng))
+    u0, q = random_unitary(dim, rng), random_unitary(dim, rng)
+    rank = int(rng.integers(1, dim)) if dim > 2 else 1
+    weights = np.array([p0, 1.0 - p0])
+    circuit = build_dilation(DualityGate(weights, (u0, u0)))
+    if custom_stages:
+        circuit = DilationCircuit(circuit.gate, *stages)
+    a, b = circuit.combine[1, :] * circuit.prepare[:, 0]
+    lambdas = (np.exp(1j * alpha), np.exp(1j * (2 * np.angle(a * np.conj(b)) - alpha)))
+    assume(abs(lambdas[0] - lambdas[1]) > 0.1 and abs(a + b * lambdas[0]) ** 2 > 1e-3)
+    phases = np.where(np.arange(dim) < rank, lambdas[0], lambdas[1])
+    gate = DualityGate(weights, (u0, u0 @ ((q * phases) @ q.conj().T)))
+    circuit = DilationCircuit(gate, circuit.prepare, circuit.combine)
+    v = exact_recovery(circuit)
+    assert v is not None
+    for _ in range(3):
+        psi = random_state(num_qubits, rng)
+        miss_work = run_dilation(psi, circuit).amplitudes[dim:]
+        recovered = v @ (miss_work / np.linalg.norm(miss_work))
+        assert global_phase_dev(psi.amplitudes, recovered) <= 1e-10
 
 
 def test_run_recycling_sure_hit():
@@ -175,7 +217,7 @@ def test_run_recycling_sure_hit():
 
 def test_exact_unitary_restores_the_input_each_cycle():
     state = random_state(1, np.random.default_rng(5))
-    v = exact_recovery(PHASE_SLIT)
+    v = PHASE_SLIT_V
     circuit = build_dilation(PHASE_SLIT)
     # k forced misses: V maps each miss work state back onto the input, so
     # the hit probability of the next cycle stays pinned at 1/2
@@ -189,14 +231,13 @@ def test_exact_unitary_restores_the_input_each_cycle():
 
 
 def trial_runs(state, circuit, strategy, max_cycles, seed, trials):
-    return [run_recycling(state, circuit, strategy, max_cycles, rng=rng)
-            for rng in trial_rngs(seed, range(trials))]
+    return run_trials(state, circuit, strategy, max_cycles, seed, range(trials))
 
 
 def assert_mean_cycles(runs, want):
-    """Every run hit, and the mean cycle count is within 3 SE of ``want``."""
-    assert not any(run.exhausted for run in runs)
-    counts = np.array([run.cycles_used for run in runs])
+    """Every trial hit, and the mean cycle count is within 3 SE of ``want``."""
+    counts, hit_index = runs
+    assert (hit_index >= 0).all()
     assert abs(counts.mean() - want) <= 3 * counts.std(ddof=1) / math.sqrt(counts.size)
 
 
@@ -211,7 +252,7 @@ def test_reset_mean_cycles_matches_inverse_hit_probability():
 
 def test_exact_unitary_mean_cycles_phase_slit():
     state = basis_state(1, 0)
-    strategy = ExactUnitary(exact_recovery(PHASE_SLIT))
+    strategy = ExactUnitary(PHASE_SLIT_V)
     assert_mean_cycles(trial_runs(state, build_dilation(PHASE_SLIT), strategy, 128, 7, 20_000), 2.0)
 
 
@@ -219,7 +260,7 @@ def test_search_gate_reset_small_sample():
     state = uniform_state(4)
     circuit = build_dilation(search_gate(SearchProblem(4, frozenset({11}))))
     runs = trial_runs(state, circuit, Reset(state), 2048, 3, 2000)
-    assert {run.outcome.sampled_index for run in runs} == {11}
+    assert set(runs[1].tolist()) == {11}
     assert_mean_cycles(runs, 16.0)
 
 
@@ -287,37 +328,6 @@ def test_cycle_budget_rule():
     assert cycle_budget(-1.0) == 1_000_000
 
 
-def test_circuit_keeps_the_readout_of_its_last_input(monkeypatch):
-    circuit = build_dilation(PHASE_SLIT)
-    state = StateVector(1, [1.0, 0.0])
-    p_hit = hit_probability(run_dilation(state, circuit), 1)
-    calls = count_dilations(monkeypatch)
-    first = circuit.readout(state)
-    assert first.p_hit == p_hit
-    assert circuit.readout(state) is first  # the same object
-    assert circuit.readout(StateVector(1, [1.0, 0.0])) is first  # a bit-equal copy
-    assert len(calls) == 1
-    # differs only in the sign of a zero amplitude: not the same bits
-    signed = StateVector(1, [1.0, -0.0])
-    assert signed.amplitudes.tobytes() != state.amplitudes.tobytes()
-    again = circuit.readout(signed)
-    assert again is not first and len(calls) == 2
-    assert circuit.readout(state) is not first and len(calls) == 3  # one input is kept
-
-
-def test_two_circuits_sharing_one_reset_keep_separate_readouts(monkeypatch):
-    state = basis_state(1, 0)
-    strategy = Reset(state)
-    gates = (PHASE_SLIT, DualityGate(np.array([0.7, 0.3]), (I2, 1j * I2)))
-    circuits = tuple(build_dilation(gate) for gate in gates)
-    calls = count_dilations(monkeypatch)
-    cycles = 0
-    for t, k in enumerate((0, 1, 0, 1, 1, 0)):
-        cycles += run_recycling(state, circuits[k], strategy, 50, rng=trial_rng(5, t)).cycles_used
-    assert cycles > 6  # some trials missed and went round again
-    assert calls == [(circuits[0], state), (circuits[1], state)]
-
-
 def chain_states(circuit, strategy, state, length):
     """Bytes of the work states at the top of cycles 1..length of a trial that
     keeps missing: the input, then the recovery of each miss work state."""
@@ -329,64 +339,45 @@ def chain_states(circuit, strategy, state, length):
 
 
 def test_unitary_recovery_dilates_each_chain_state_once(monkeypatch):
-    # the state at cycle k is the same in every trial, so across trials on one
-    # circuit each distinct state of the chain is dilated once, the first time
-    # a trial reaches it; every trial starts on the circuit's kept readout
+    # the state at cycle k is the same in every trial, so one run_trials call
+    # dilates each distinct state of the chain once, the first time a trial
+    # reaches it; the chain is dropped when the call returns, so a second
+    # call on the same circuit dilates them all again
     state = basis_state(1, 0)
-    starts = []
-    real_readout = DilationCircuit.readout
-
-    def recording_readout(self, work_state):
-        starts.append(work_state.amplitudes.tobytes())
-        return real_readout(self, work_state)
-
-    # ExactUnitary drifts in the last bits for 52 cycles and then stays at a
-    # bit-exact fixed point; Custom(Z) keeps drifting
-    for strategy in (ExactUnitary(exact_recovery(PHASE_SLIT)), Custom(Z)):
+    # ExactUnitary reaches a bit-exact fixed point from the third cycle on;
+    # Custom(Z) keeps drifting
+    for strategy in (ExactUnitary(PHASE_SLIT_V), Custom(Z)):
         circuit = build_dilation(PHASE_SLIT)
         chain = chain_states(circuit, strategy, state, 80)
-        monkeypatch.setattr(DilationCircuit, "readout", recording_readout)
         calls = count_dilations(monkeypatch)
-        starts.clear()
-        cycles = [run_recycling(state, circuit, strategy, 80, rng=trial_rng(9, t)).cycles_used
-                  for t in range(20)]
-        monkeypatch.undo()
-        deepest = chain[:max(cycles)]
+        cycles, _ = run_trials(state, circuit, strategy, 80, 9, range(20))
+        deepest = chain[:cycles.max()]
         distinct = 1 + sum(cur != prev for prev, cur in zip(deepest, deepest[1:]))
-        assert starts == [state.amplitudes.tobytes()] * 20
-        assert [s.amplitudes.tobytes() for _, s in calls] == list(dict.fromkeys(deepest))
-        assert len(calls) == distinct < sum(cycles)
-        assert 1 < max(cycles) <= distinct  # the trials reach past the first cycle
+        dilated = [s.amplitudes.tobytes() for _, s in calls]
+        assert dilated == list(dict.fromkeys(deepest))
+        assert len(calls) == distinct < cycles.sum()
+        assert 3 < cycles.max()  # the trials reach past the fixed point
+        calls.clear()
+        again, _ = run_trials(state, circuit, strategy, 80, 9, range(20))
+        assert np.array_equal(again, cycles)
+        assert [s.amplitudes.tobytes() for _, s in calls] == dilated
+        monkeypatch.undo()
 
 
-def test_threads_sharing_a_circuit_get_the_readout_of_their_own_input():
-    # the kept (input, readout) pair is replaced as one tuple, so a reader
-    # never pairs its input with a readout another thread kept for another
-    circuit = build_dilation(DualityGate(np.array([0.5, 0.5]), (I2, Z)))  # P0 = |<0|state>|^2
-    states = (basis_state(1, 0), StateVector(1, [0.6, 0.8j]))
-    expected = [hit_probability(run_dilation(s, circuit), 1) for s in states]
-    assert expected == [pytest.approx(1.0), pytest.approx(0.36)]
-    wrong = []
+def test_run_trials_keeps_nothing_after_it_returns(monkeypatch):
+    # every dilated state the chain held is freed once the call returns
+    kept, real = [], duality.run_dilation
 
-    def worker(k):
-        for i in range(3000):
-            j = (i + k) % 2
-            try:
-                p_hit = circuit.readout(states[j]).p_hit
-            except Exception as exc:  # a worker's error would otherwise only warn
-                p_hit = exc
-            if p_hit != expected[j]:
-                wrong.append((k, i, p_hit))
+    def tracking(work_state, circuit):
+        full = real(work_state, circuit)
+        kept.append(weakref.ref(full))
+        return full
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert wrong == []
+    monkeypatch.setattr(duality, "run_dilation", tracking)
+    circuit = build_dilation(PHASE_SLIT)
+    state = basis_state(1, 0)
+    for strategy in (Reset(state), ExactUnitary(PHASE_SLIT_V), Custom(Z)):
+        kept.clear()
+        run_trials(state, circuit, strategy, 80, 9, range(20))
+        gc.collect()
+        assert kept and all(ref() is None for ref in kept)

@@ -1,18 +1,19 @@
 """The shared recycling cycle against the plain loop it replaces.
 
-``run_recycling`` measures the readout the dilation circuit keeps for its
-last input, and draws a run of repeated measurements in chunks when the
-generator is a rewindable PCG64 ``Generator``; the reference runs the
-dilation and ``conditional_measure`` on every cycle, one scalar draw at a
-time.  Under unitary recovery it also follows the ``Readout.after_miss``
-links that earlier trials stored, up to a bound on the links one chain
-keeps.  Under Reset, ExactUnitary and Custom recovery, with one circuit
-shared across trials (also by alternating strategies), across the link
-bound, at a bit-exact fixed point, and with generators that take the
-chunked or the scalar path, the two must give the same cycle count,
-outcome and post-state bytes, leave the generator in the same state, and
-raise ``DegenerateBranchError`` at the same draw.  A bad input is refused
-before the first draw.
+``run_recycling`` runs one trial and ``run_trials`` runs many on one chain
+of readouts: a trial measures the input's readout, and after each miss the
+readout of the next work state, which ``run_trials`` keeps for the trials
+after it, up to a bound on the links one chain keeps.  A run of repeated
+measurements of one readout is drawn in chunks when the generator is a
+rewindable PCG64 ``Generator``.  The reference runs the dilation and
+``conditional_measure`` on every cycle, one scalar draw at a time.  Under
+Reset (also from a different input), ExactUnitary and Custom recovery,
+across the link bound, at a bit-exact fixed point, and with generators that
+take the chunked or the scalar path, the two must give the same cycle
+count, outcome and post-state bytes, leave the generator in the same state,
+and raise ``DegenerateBranchError`` at the same draw; ``run_trials`` must
+give each trial the cycles and hit index of the reference on
+``trial_rng(seed, t)``.  A bad input is refused before the first draw.
 """
 import itertools
 import json
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FixedRandom
+from conftest import FixedRandom, count_dilations
 from dualsim import (
     Custom,
     DegenerateBranchError,
@@ -39,12 +40,14 @@ from dualsim import (
     exact_recovery,
     hit_probability,
     hybrid_search,
+    rand,
     random_state,
     random_unitary,
     recycling,
     run_dilation,
     run_recycling,
     run_search_experiment,
+    run_trials,
     search_gate,
     trial_rng,
     uniform_state,
@@ -71,6 +74,19 @@ def reference_loop(state, circuit, strategy, max_cycles, rng):
             miss_work = outcome.post_state.amplitudes[state.dim:]
             work = StateVector(state.num_qubits, strategy.recovery @ miss_work)
     return outcome, max_cycles
+
+
+def assert_same_trials(state, circuit, strategy, max_cycles, seed, trials):
+    """``run_trials`` over ``range(trials)`` against ``reference_loop`` on each
+    ``trial_rng(seed, t)``: the same cycles and hit index (-1 for exhausted).
+    Returns the cycle counts."""
+    cycles, hit_index = run_trials(state, circuit, strategy, max_cycles, seed, range(trials))
+    assert cycles.dtype == hit_index.dtype == np.int64
+    for t in range(trials):
+        outcome, used = reference_loop(state, circuit, strategy, max_cycles, trial_rng(seed, t))
+        assert cycles[t] == used
+        assert hit_index[t] == (outcome.sampled_index if isinstance(outcome, Hit) else -1)
+    return cycles
 
 
 def assert_same_run(state, circuit, strategy, max_cycles, make_rng):
@@ -118,8 +134,7 @@ def test_reset_loop_matches_reference(family, num_slits, num_qubits, search_qubi
         state = random_state(num_qubits, rng)
     circuits = [build_dilation(gate) for gate in gates]
     strategy = Reset(state)
-    # several trials share one Reset and two circuits, as in an experiment;
-    # switching the circuit must not reuse the other circuit's readout
+    # several trials share one Reset and two circuits
     for t, k in enumerate((0, 0, 1, 0)):
         assert_same_run(state, circuits[k], strategy, max_cycles, lambda: trial_rng(run_seed, t))
 
@@ -181,7 +196,7 @@ def test_other_generators_match_reference(kind, num_qubits, marked, run_seed, ma
 
 
 def exactly_recoverable_gate(num_qubits, rng):
-    """2-slit gate p0 U + p1 U W whose miss operator U (p0 - p1 W) is
+    """2-slit gate p0 U + p1 U W whose miss operator sqrt(p0 p1) U (I - W) is
     proportional to a unitary: W has eigenvalues e^{+i phi} and e^{-i phi} only."""
     dim = 1 << num_qubits
     u, q = random_unitary(dim, rng), random_unitary(dim, rng)
@@ -198,15 +213,12 @@ def test_unitary_recovery_loop_matches_reference(recovery, num_qubits, gate_seed
                                                  max_cycles):
     rng = np.random.default_rng(gate_seed)
     if recovery == "exact":
-        gate = exactly_recoverable_gate(num_qubits, rng)
-        strategy = ExactUnitary(exact_recovery(gate))
+        circuit = build_dilation(exactly_recoverable_gate(num_qubits, rng))
+        strategy = ExactUnitary(exact_recovery(circuit))
     else:
-        gate = random_gate(2, num_qubits, rng)
-        strategy = Custom(random_unitary(gate.dim, rng))
-    circuit = build_dilation(gate)
+        circuit = build_dilation(random_gate(2, num_qubits, rng))
+        strategy = Custom(random_unitary(circuit.gate.dim, rng))
     state = random_state(num_qubits, rng)
-    # one circuit across the trials: a trial starts on the readout kept for
-    # the input and follows the links the trials before it stored
     for t in range(12):
         assert_same_run(state, circuit, strategy, max_cycles, lambda: trial_rng(run_seed, t))
 
@@ -216,28 +228,55 @@ def test_unitary_recovery_loop_matches_reference(recovery, num_qubits, gate_seed
        run_seed=st.integers(0, 2**32 - 1), max_cycles=st.integers(1, 40))
 def test_alternating_recovery_strategies_on_one_circuit_match_reference(
         num_qubits, gate_seed, run_seed, max_cycles):
-    # a link is kept for one strategy: the other one, on the same readouts,
-    # must not follow it
+    # nothing a run finds is kept on the circuit or its readouts for the next
+    # run, whatever its strategy
     rng = np.random.default_rng(gate_seed)
-    gate = exactly_recoverable_gate(num_qubits, rng)
-    strategies = (ExactUnitary(exact_recovery(gate)), Custom(random_unitary(gate.dim, rng)))
-    circuit = build_dilation(gate)
+    circuit = build_dilation(exactly_recoverable_gate(num_qubits, rng))
+    strategies = (ExactUnitary(exact_recovery(circuit)),
+                  Custom(random_unitary(circuit.gate.dim, rng)))
     state = random_state(num_qubits, rng)
     for t in range(12):
         assert_same_run(state, circuit, strategies[t % 2], max_cycles,
                         lambda: trial_rng(run_seed, t))
 
 
-def linked_readouts(readout):
-    """Readouts reached through ``after_miss`` links, in order, and whether
-    the last one links back to itself."""
-    chain = [readout]
-    while chain[-1].after_miss is not None:
-        nxt = chain[-1].after_miss[2]
-        if nxt is chain[-1]:
-            return chain, True
-        chain.append(nxt)
-    return chain, False
+def link_bytes(circuit):
+    """What one link counts against the bound: four full-register vectors
+    and the allowance for its Python objects."""
+    return 4 * 16 * (2 * circuit.gate.dim) + recycling.LINK_OBJECT_BYTES
+
+
+@settings(max_examples=50, deadline=None)
+@given(kind=st.sampled_from(["reset", "reset_other_input", "exact", "custom"]),
+       num_qubits=st.integers(1, 2), search_qubits=st.integers(6, 8),
+       links=st.none() | st.integers(0, 12), gate_seed=st.integers(0, 2**32 - 1),
+       run_seed=st.integers(0, 2**32 - 1), max_cycles=st.integers(1, 1200))
+# P0 = 1/256: trial 3 misses 1100 times, two full chunks of 512 and a cut one
+@example(kind="reset", num_qubits=1, search_qubits=8, links=None, gate_seed=0, run_seed=8,
+         max_cycles=1100)
+def test_run_trials_matches_reference(kind, num_qubits, search_qubits, links, gate_seed,
+                                      run_seed, max_cycles):
+    rng = np.random.default_rng(gate_seed)
+    if kind.startswith("reset"):
+        # P0 = 1/64 .. 1/256 from the uniform state: runs that span draw chunks
+        marked = int(rng.integers(1 << search_qubits))
+        circuit = build_dilation(search_gate(SearchProblem(search_qubits, frozenset({marked}))))
+        stored = uniform_state(search_qubits)
+        state = stored if kind == "reset" else random_state(search_qubits, rng)
+        strategy = Reset(stored)
+    elif kind == "exact":
+        circuit = build_dilation(exactly_recoverable_gate(num_qubits, rng))
+        strategy = ExactUnitary(exact_recovery(circuit))
+        state = random_state(num_qubits, rng)
+    else:
+        circuit = build_dilation(random_gate(2, num_qubits, rng))
+        strategy = Custom(random_unitary(circuit.gate.dim, rng))
+        state = random_state(num_qubits, rng)
+        max_cycles = max_cycles % 60 + 1  # the reference dilates every cycle
+    with pytest.MonkeyPatch.context() as mp:
+        if links is not None:  # a chain of at most ``links`` links
+            mp.setattr(recycling, "MAX_DENSE_BYTES", links * link_bytes(circuit) + 1)
+        assert_same_trials(state, circuit, strategy, max_cycles, run_seed, 8)
 
 
 def test_fixed_point_recovery_draws_in_chunks(monkeypatch):
@@ -247,7 +286,7 @@ def test_fixed_point_recovery_draws_in_chunks(monkeypatch):
     gate = DualityGate(np.array([0.5, 0.5]), (I2, np.exp(2.5j) * I2))
     circuit = build_dilation(gate)
     state = basis_state(1, 0)
-    strategy = ExactUnitary(exact_recovery(gate))
+    strategy = ExactUnitary(exact_recovery(circuit))
     chunked = []
     real = Readout.measure_until_hit
 
@@ -259,31 +298,32 @@ def test_fixed_point_recovery_draws_in_chunks(monkeypatch):
     for t in range(12):
         assert_same_run(state, circuit, strategy, 300, lambda: trial_rng(21, t))
     assert len(chunked) >= 5
-    chain, self_link = linked_readouts(circuit.readout(state))
-    assert len(chain) == 3 and self_link
-
-
-def link_bytes(circuit):
-    """What one link counts against the bound: four full-register vectors
-    and the allowance for its Python objects."""
-    return 4 * 16 * (2 * circuit.gate.dim) + recycling.LINK_OBJECT_BYTES
+    # one run_trials call: the chain is two readouts, the second linking to itself
+    chunked.clear()
+    calls = count_dilations(monkeypatch)
+    assert_same_trials(state, circuit, strategy, 300, 21, 12)
+    assert len(chunked) >= 5 and len(calls) == 2
 
 
 @settings(max_examples=30, deadline=None)
 @given(num_qubits=st.integers(1, 2), links=st.integers(1, 12),
        gate_seed=st.integers(0, 2**32 - 1), run_seed=st.integers(0, 2**32 - 1))
 def test_runs_across_the_link_bound_match_reference(num_qubits, links, gate_seed, run_seed):
+    # a drifting Custom recovery reaches a new state every cycle: the first
+    # ``links`` states after the input are dilated once per call, deeper ones
+    # once per trial that reaches them
     rng = np.random.default_rng(gate_seed)
-    gate = random_gate(2, num_qubits, rng)
-    strategy = Custom(random_unitary(gate.dim, rng))
-    circuit = build_dilation(gate)
+    circuit = build_dilation(random_gate(2, num_qubits, rng))
+    strategy = Custom(random_unitary(circuit.gate.dim, rng))
     state = random_state(num_qubits, rng)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(recycling, "MAX_DENSE_BYTES", links * link_bytes(circuit) + 1)
         for t in range(12):
             assert_same_run(state, circuit, strategy, 40, lambda: trial_rng(run_seed, t))
-    chain, self_link = linked_readouts(circuit.readout(state))
-    assert len(chain) - 1 + self_link <= links
+        calls = count_dilations(mp)
+        cycles = assert_same_trials(state, circuit, strategy, 40, run_seed, 12)
+        assert len(calls) == 1 + min(links, cycles.max() - 1) + np.maximum(
+            cycles - 1 - links, 0).sum()
 
 
 def test_drifting_exhausted_run_keeps_no_link_past_the_bound(monkeypatch):
@@ -296,8 +336,10 @@ def test_drifting_exhausted_run_keeps_no_link_past_the_bound(monkeypatch):
     monkeypatch.setattr(recycling, "MAX_DENSE_BYTES", 25 * link_bytes(circuit))
     for t in range(3):
         assert_same_run(state, circuit, strategy, 200, lambda: trial_rng(5, t))
-        chain, self_link = linked_readouts(circuit.readout(state))
-        assert len(chain) == 26 and not self_link  # the input's readout and 25 links
+    calls = count_dilations(monkeypatch)
+    assert_same_trials(state, circuit, strategy, 200, 5, 3)
+    # the input and 25 linked states once, the 174 states past the bound per trial
+    assert len(calls) == 1 + 25 + 3 * 174
     assert run_recycling(state, circuit, strategy, 200, rng=trial_rng(5, 0)).exhausted
 
 
@@ -312,22 +354,30 @@ def test_reset_from_a_different_input_matches_reference(gate_seed, run_seed):
                     lambda: np.random.default_rng(run_seed))
 
 
-def test_bad_input_fails_before_any_draw():
-    # the first cycle's run_dilation refuses it; the readout the circuit
-    # keeps stays, and valid runs afterwards match the reference
+def test_bad_input_fails_before_any_draw(monkeypatch):
+    # the first cycle's run_dilation refuses it, in run_recycling before the
+    # first draw and in run_trials before any trial's generator is seeded;
+    # valid runs afterwards match the reference
     state = basis_state(1, 0)
     gate = DualityGate(np.array([0.5, 0.5]), (I2, 1j * I2))
     circuit = build_dilation(gate)
-    kept = circuit.readout(state)
-    strategies = (Reset(state), ExactUnitary(exact_recovery(gate)), Custom(I2))
+    strategies = (Reset(state), ExactUnitary(exact_recovery(circuit)), Custom(I2))
+
+    def no_generators(*args):
+        raise AssertionError("seeded a trial generator")
+
     for bad, strategy, max_cycles in itertools.product(
             (StateVector(1, [0.6, 0.0]), basis_state(2, 0)), strategies, (None, 8)):
         rng = FixedRandom([0.99, 0.5])
         with pytest.raises(ValueError):
             run_recycling(bad, circuit, strategy, max_cycles, rng=rng)
-        assert rng.draws == 0 and circuit.readout(state) is kept
+        assert rng.draws == 0
+        with monkeypatch.context() as mp, pytest.raises(ValueError):
+            mp.setattr(rand, "_pcg64_states", no_generators)
+            run_trials(bad, circuit, strategy, max_cycles, 11, range(4))
     for strategy in strategies:
         assert_same_run(state, circuit, strategy, 8, lambda: trial_rng(11, 0))
+        assert_same_trials(state, circuit, strategy, 8, 11, 4)
 
 
 def _draws_until_error(loop, rng):

@@ -24,11 +24,9 @@ from dualsim import (
     duality_search_step,
     exact_recovery,
     grover_iterate,
-    grover_oracle,
     hit_probability,
     hybrid_search,
     norm,
-    oracle_unitary,
     random_state,
     repetition_curve,
     run_dilation,
@@ -36,6 +34,7 @@ from dualsim import (
     search_gate,
     uniform_state,
 )
+from dualsim.statevec import oracle_phases
 
 
 def problem(n, *marked):
@@ -51,12 +50,19 @@ def test_problem_validation():
         SearchProblem(2, frozenset({4}))
 
 
+def oracle_matrix(p):
+    """The search oracle as an explicit matrix: +1 on marked indices, -1 elsewhere."""
+    return np.diag(oracle_phases(p.size, p.marked).astype(complex))
+
+
 def test_oracle_unitary_examples():
-    assert np.array_equal(oracle_unitary(problem(1, 1)), np.diag([-1, 1]).astype(complex))
-    assert np.array_equal(oracle_unitary(problem(2, 2)), np.diag([-1, -1, 1, -1]).astype(complex))
-    d = oracle_unitary(problem(3, 1, 6))
+    # the oracle slit of the search gate is +1 on marked indices and -1 elsewhere
+    for p, want in ((problem(1, 1), [-1, 1]), (problem(2, 2), [-1, -1, 1, -1])):
+        oracle = search_gate(p).unitaries[0]
+        assert np.array_equal(oracle.dense(), np.diag(want).astype(complex))
+        assert np.array_equal(oracle_matrix(p), np.diag(want).astype(complex))
+    d = search_gate(problem(3, 1, 6)).unitaries[0].dense()
     assert np.array_equal(d @ d, np.eye(8))
-    assert np.array_equal(grover_oracle(problem(3, 1, 6)), -d)
 
 
 def test_search_gate_sum_is_marked_projector():
@@ -79,12 +85,12 @@ def test_search_gate_slits_are_phase_diagonals_equal_to_the_dense_matvec(n, data
     p = SearchProblem(n, frozenset(marked))
     oracle, identity = search_gate(p).unitaries
     assert isinstance(oracle, PhaseDiagonal) and isinstance(identity, PhaseDiagonal)
-    assert oracle.dense().tobytes() == oracle_unitary(p).tobytes()
+    assert oracle.dense().tobytes() == oracle_matrix(p).tobytes()
     assert identity.dense().tobytes() == np.eye(size, dtype=complex).tobytes()
     parts = data.draw(st.lists(AMPLITUDE, min_size=2 * size, max_size=2 * size))
     v = np.array([complex(re, im) for re, im in zip(parts[:size], parts[size:])])
     # equal as numbers; only the sign of a zero entry may differ from the matvec
-    assert np.array_equal(oracle @ v, oracle_unitary(p) @ v)
+    assert np.array_equal(oracle @ v, oracle_matrix(p) @ v)
     assert np.array_equal(identity @ v, np.eye(size) @ v)
 
 
@@ -103,7 +109,7 @@ def test_large_search_gate_refuses_explicit_matrices_before_allocating(monkeypat
         with pytest.raises(ValueError, match="65536x65536 matrix needs 68719476736 bytes"):
             needs_matrix()
     # two phase-diagonal slits: "no recovery" is decided from their diagonals
-    assert exact_recovery(gate) is None
+    assert exact_recovery(circuit) is None
 
 
 def test_duality_search_step_uniform_law():
@@ -138,9 +144,9 @@ def test_duality_search_step_marked_input_always_hits():
         assert out.sampled_index == 5
 
 
-def test_duality_search_step_on_one_state_runs_the_dilation_once(monkeypatch):
-    # the problem's circuit keeps the readout of its last state, and every
-    # step draws from it exactly as a fresh dilation and measurement would
+def test_duality_search_step_runs_one_dilation_per_call(monkeypatch):
+    # nothing is kept between steps: each one dilates its state on the
+    # problem's circuit and draws exactly as a fresh dilation and measurement
     p = problem(5, 6, 19)
     state = random_state(5, np.random.default_rng(2718))
     circuit = build_dilation(search_gate(p))
@@ -148,7 +154,8 @@ def test_duality_search_step_on_one_state_runs_the_dilation_once(monkeypatch):
     expected = [conditional_measure(run_dilation(state, circuit), 1, ref_rng) for _ in range(300)]
     calls = count_dilations(monkeypatch)
     outcomes = [duality_search_step(state, p, rng) for _ in range(300)]
-    assert len(calls) == 1 and {type(out) for out in expected} == {Hit, Miss}
+    assert len(calls) == 300 and {type(out) for out in expected} == {Hit, Miss}
+    assert {id(c) for c, _ in calls} == {id(p._circuit)}
     for out, want in zip(outcomes, expected):
         assert type(out) is type(want)
         assert getattr(out, "sampled_index", None) == getattr(want, "sampled_index", None)
@@ -157,8 +164,8 @@ def test_duality_search_step_on_one_state_runs_the_dilation_once(monkeypatch):
 
 
 def test_search_circuit_is_freed_with_its_problem(monkeypatch):
-    # the problem object keeps its dilation circuit (and the readout it
-    # keeps); no module-level store outlives the problem
+    # the problem object keeps its dilation circuit, and an experiment
+    # dilates its prepared state once; no module-level store outlives the problem
     p = problem(6, 17, 40)
     calls = count_dilations(monkeypatch)
     stats = run_search_experiment(p, 1, trials=5, seed=3)

@@ -6,19 +6,24 @@ dilation, large searches, exact recovery and the matrix text format, in process.
 Imports ``dualsim`` from ``--src`` (default: this checkout's ``src``) and
 times each layer with ``time.perf_counter_ns``; a layer's value is the
 median over ``--repeats`` rounds that each time every layer once.  It runs
-on checkouts from 170be87 on.  Layers:
+on checkouts from 170be87 on; where ``run_trials`` is missing, the layers
+that use it run the ``run_recycling`` loop over ``trial_rngs`` instead, and
+``exact_recovery`` takes the gate instead of its circuit.  Layers:
 
   seeding.trial_rng_us       one ``trial_rng(seed, t)`` call, over 2000 indices
   seeding.trial_rngs_us      one trial's generator from ``trial_rngs``, over 2000
   cycle.reset_scalar_us      one Reset cycle drawn one at a time: search gate
                              n = 4 with one marked index (P0 = 1/16), an rng
                              object with only ``.random()``, time per cycle
-                             over 2000 trials
-  cycle.reset_chunked_us     the same with a PCG64 Generator, which the loop
-                             draws in chunks
+                             over 2000 ``run_recycling`` trials; each trial
+                             dilates its input once (checkouts up to 065c604
+                             kept the input's readout on the circuit instead)
+  cycle.reset_chunked_us     the same over one ``run_trials`` call of 2000
+                             trials, seeding included, which draws in chunks
   cycle.exact_us             one ExactUnitary cycle: phase-slit gate, input
-                             |0>, PCG64 Generators, time per cycle over 2000
-                             trials on one circuit built for the round
+                             |0>, time per cycle over one ``run_trials`` call
+                             of 2000 trials, seeding included, on a circuit
+                             built for the round
   trial.exhausted_1e6_ms     one Reset trial with P0 = 0 (search gate n = 4,
                              marked 13, input |0>) that spends 10**6 cycles
   trial.exhausted_drift_ms   one Custom(e^{0.3i} I) trial on the P0 = 0 gate
@@ -33,7 +38,7 @@ on checkouts from 170be87 on.  Layers:
   search.experiment_n16_ms   one ``run_search_experiment`` (marked 12345, j = 0,
   search.experiment_n20_ms   10 trials, seed 1) on a fresh problem, so its
                              circuit is built in the timed call
-  recovery.exact_search_n11_ms  ``exact_recovery`` of the n = 11 search gate
+  recovery.exact_search_n11_ms  ``exact_recovery`` of the n = 11 search gate's circuit
                              (marked 5), which has none
   format.matrix_256_ms       ``format_matrix_text`` of one 256×256 matrix
 
@@ -105,9 +110,26 @@ def measure(repeats: int) -> dict:
 
     from dualsim import (Custom, DualityGate, ExactUnitary, Reset, SearchProblem, basis_state,
                          build_dilation, exact_recovery, format_matrix_text, parse_circuit,
-                         run_dilation, run_recycling, run_search_experiment, search,
+                         recycling, run_dilation, run_recycling, run_search_experiment, search,
                          search_gate, trial_rng, trial_rngs, uniform_state)
     from dualsim.circuit import duality_gate_of
+
+    run_trials = getattr(recycling, "run_trials", None)
+
+    def recovery_of(circuit):
+        return exact_recovery(circuit if run_trials is not None else circuit.gate)
+
+    def trials_cycles(input_state, circuit, strategy, max_cycles):
+        """(elapsed ns, cycles) of the seeded trials 0..TRIALS-1, seeding included."""
+        start = time.perf_counter_ns()
+        if run_trials is not None:
+            cycles = int(run_trials(input_state, circuit, strategy, max_cycles, SEED,
+                                    range(TRIALS))[0].sum())
+        else:
+            cycles = sum(run_recycling(input_state, circuit, strategy, max_cycles,
+                                       rng=rng).cycles_used
+                         for rng in trial_rngs(SEED, range(TRIALS)))
+        return time.perf_counter_ns() - start, cycles
 
     def seeding_single():
         start = time.perf_counter_ns()
@@ -126,8 +148,8 @@ def measure(repeats: int) -> dict:
     prepared = uniform_state(4)
     strategy = Reset(prepared)
 
-    def reset_cycles(wrap):
-        rngs = [wrap(np.random.default_rng(np.random.SeedSequence(SEED, spawn_key=(t,))))
+    def reset_scalar_cycles():
+        rngs = [ScalarDraws(np.random.default_rng(np.random.SeedSequence(SEED, spawn_key=(t,))))
                 for t in range(TRIALS)]
         cycles = 0
         start = time.perf_counter_ns()
@@ -138,18 +160,7 @@ def measure(repeats: int) -> dict:
     eye = np.eye(2, dtype=np.complex128)
     qubit_zero = basis_state(1, 0)
     phase_slit = DualityGate(np.array([0.5, 0.5]), (eye, 1j * eye))
-    exact_strategy = ExactUnitary(exact_recovery(phase_slit))
-
-    def exact_cycles():
-        rngs = [np.random.default_rng(np.random.SeedSequence(SEED, spawn_key=(t,)))
-                for t in range(TRIALS)]
-        phase_circuit = build_dilation(phase_slit)
-        cycles = 0
-        start = time.perf_counter_ns()
-        for rng in rngs:
-            cycles += run_recycling(qubit_zero, phase_circuit, exact_strategy, 128,
-                                    rng=rng).cycles_used
-        return time.perf_counter_ns() - start, cycles
+    exact_strategy = ExactUnitary(recovery_of(build_dilation(phase_slit)))
 
     never_hit = DualityGate(np.array([0.5, 0.5]), (eye, -eye))
     drift_strategy = Custom(np.exp(0.3j) * eye)
@@ -160,9 +171,10 @@ def measure(repeats: int) -> dict:
         start = time.perf_counter_ns()
         run = run_recycling(qubit_zero, drift_circuit, drift_strategy, 2 * 10**5, rng=rng)
         assert run.exhausted and run.cycles_used == 2 * 10**5
-        # The trial's cost includes freeing what it kept (the circuit's chain
-        # of links): drop it here, and make one request past glibc's small
-        # bins, which merges the freed blocks now instead of in the next layer.
+        # The trial's cost includes freeing what it built (on 065c604, the
+        # chain of links the circuit kept): drop the circuit here, and make
+        # one request past glibc's small bins, which merges the freed blocks
+        # now instead of in the next layer.
         del run, drift_circuit
         bytearray(1 << 12)
         return time.perf_counter_ns() - start, 1
@@ -190,14 +202,15 @@ def measure(repeats: int) -> dict:
             cache.cache_clear()  # the n = 20 circuit holds ~100 MB
         return elapsed
 
-    search_gate11 = search_gate(SearchProblem(11, frozenset({5})))
+    search_circuit11 = build_dilation(search_gate(SearchProblem(11, frozenset({5}))))
     matrix256 = np.random.default_rng(SEED).standard_normal((256, 512)).view(np.complex128)
 
     layers = {"seeding.trial_rng_us": seeding_single,
               "seeding.trial_rngs_us": seeding_blocked,
-              "cycle.reset_scalar_us": lambda: reset_cycles(ScalarDraws),
-              "cycle.reset_chunked_us": lambda: reset_cycles(lambda g: g),
-              "cycle.exact_us": exact_cycles,
+              "cycle.reset_scalar_us": reset_scalar_cycles,
+              "cycle.reset_chunked_us": lambda: trials_cycles(prepared, circuit, strategy, 1024),
+              "cycle.exact_us": lambda: trials_cycles(qubit_zero, build_dilation(phase_slit),
+                                                      exact_strategy, 128),
               "trial.exhausted_1e6_ms": exhausted_trial,
               "trial.exhausted_drift_ms": drifting_trial,
               "circuit.gate_n8_ms": lambda: timed(lambda: build_dilation(duality_gate_of(*blocks[8]))),
@@ -205,7 +218,7 @@ def measure(repeats: int) -> dict:
               "dilation.run_n10_ms": lambda: timed(lambda: run_dilation(uniform10, circuit10)),
               "search.experiment_n16_ms": lambda: search_experiment(16),
               "search.experiment_n20_ms": lambda: search_experiment(20),
-              "recovery.exact_search_n11_ms": lambda: timed(lambda: exact_recovery(search_gate11)),
+              "recovery.exact_search_n11_ms": lambda: timed(lambda: recovery_of(search_circuit11)),
               "format.matrix_256_ms": lambda: timed(lambda: format_matrix_text(matrix256))}
     return {name: value / (1e6 if name.endswith("_ms") else 1e3)
             for name, value in medians(repeats, layers).items()}
