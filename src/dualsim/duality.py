@@ -438,8 +438,10 @@ class Readout:
     index.  Each branch (the normalized state and, for a Hit, the Born
     cumulative sum) is built on first use and kept, so a loop that keeps
     measuring the same state pays one draw per measurement, and
-    ``measure_until_hit`` draws a run of them as one array.  A degenerate
-    branch raises ``DegenerateBranchError`` every time it is drawn.
+    ``measure_until_hit`` draws a run of them as one array.  ``miss`` and
+    ``hit_indices`` give the branches to callers that draw the branch
+    themselves.  A degenerate branch raises ``DegenerateBranchError`` every
+    time it is drawn.
     """
 
     __slots__ = ("p_hit", "_full", "_num_work", "_block", "_hit", "_miss")
@@ -456,7 +458,7 @@ class Readout:
         self._miss: Miss | None = None
 
     def measure(self, rng) -> MeasurementOutcome:
-        return self._sample_hit(rng) if rng.random() < self.p_hit else self._take_miss()
+        return self._sample_hit(rng) if rng.random() < self.p_hit else self.miss()
 
     def measure_until_hit(self, rng: np.random.Generator,
                           limit: int) -> tuple[int, MeasurementOutcome]:
@@ -482,20 +484,30 @@ class Readout:
                     rng.bit_generator.advance(_PCG64_PERIOD - (k - used))
                 return done + used, self._sample_hit(rng)
             done += k
-        return limit, self._take_miss()
+        return limit, self.miss()
 
-    def _sample_hit(self, rng) -> Hit:
+    def hit_indices(self, draws):
+        """The Born samples of Hits whose index draws are ``draws`` (an array
+        or one double): what ``measure`` gives for each after its branch draw
+        selected the Hit."""
+        cum = self._hit_branch()[1]
+        return np.minimum(np.searchsorted(cum, draws * cum[-1], side="right"), cum.size - 1)
+
+    def _hit_branch(self) -> tuple[StateVector, np.ndarray]:
         if self._hit is None:
             scale = math.sqrt(self.p_hit)
             if scale < DEGENERATE_BRANCH_TOL:
                 raise DegenerateBranchError("hit branch has vanishing norm; cannot normalize")
             work = self._block / scale
             self._hit = (_fresh_state(self._num_work, work), np.cumsum(np.abs(work) ** 2))
-        post_state, cum = self._hit
-        idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-        return Hit(post_state, min(idx, cum.size - 1))
+        return self._hit
 
-    def _take_miss(self) -> Miss:
+    def _sample_hit(self, rng) -> Hit:
+        post_state = self._hit_branch()[0]
+        return Hit(post_state, int(self.hit_indices(rng.random())))
+
+    def miss(self) -> Miss:
+        """The Miss outcome, built on first use."""
         if self._miss is None:
             rest = self._full.amplitudes.copy()
             rest[: self._block.size] = 0.0

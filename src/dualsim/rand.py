@@ -1,6 +1,8 @@
-"""Seeded randomness utilities: derived per-trial streams and random objects."""
+"""Seeded randomness utilities: derived per-trial streams, PCG64 draws for
+many streams at once in uint64 limb arithmetic, and random objects."""
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator
 
 import numpy as np
@@ -10,13 +12,12 @@ from .statevec import StateVector
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64's LCG
 # multiplier (O'Neill 2014); the seeding tests compare against numpy itself.
 _M32 = 0xFFFFFFFF
-_M128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
 _POOL_WORDS = 4
-_BLOCK = 256
+_BLOCK = 1024
 
 
 def _hash_consts(first: int, mult: int, count: int) -> np.ndarray:
@@ -44,16 +45,59 @@ def _num_words(value: int) -> int:
 _OUTPUT_CONSTS = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_WORDS)
 
 
-def _pcg64_states(seed: int, indices: range) -> Iterator[tuple[int, int]]:
+# --- PCG64 on uint64 limb arrays -------------------------------------------------
+# A 128-bit value is a (hi, lo) pair of uint64 arrays; products split the low
+# limbs into 32-bit halves, and uint64 arithmetic wraps mod 2**64.
+
+_U1, _U11, _U32, _U58, _U63, _U64 = (np.uint64(b) for b in (1, 11, 32, 58, 63, 64))
+_LO32 = np.uint64(_M32)
+_MULT_HI, _MULT_LO = np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & 0xFFFFFFFFFFFFFFFF)
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo) -> None:
+    """a += b mod 2**128, in place."""
+    a_lo += b_lo
+    a_hi += b_hi
+    a_hi += a_lo < b_lo
+
+
+def _mul128(a_hi, a_lo, b_hi, b_lo):
+    """(a * b) mod 2**128 as new (hi, lo) arrays, broadcasting the limb arrays;
+    at most four arrays of the result's size are alive at once."""
+    a0, a1 = a_lo & _LO32, a_lo >> _U32
+    b0, b1 = b_lo & _LO32, b_lo >> _U32
+    hi = a_lo * b_hi
+    hi += a_hi * b_lo
+    hi += a1 * b1
+    part = a0 * b1
+    mid = part & _LO32
+    part >>= _U32
+    hi += part
+    np.multiply(a1, b0, out=part)
+    mid += part & _LO32
+    part >>= _U32
+    hi += part
+    lo = np.multiply(a0, b0, out=part)
+    mid += lo >> _U32
+    hi += mid >> _U32
+    lo &= _LO32
+    mid <<= _U32
+    lo |= mid
+    return hi, lo
+
+
+def _pcg64_states(seed: int, indices: range) -> Iterator[tuple[np.ndarray, ...]]:
     """PCG64 ``(state, inc)`` of ``SeedSequence(seed, spawn_key=(i,))`` for each
-    i in ``indices``, computed ``_BLOCK`` indices at a time.
+    i in ``indices``, as uint64 limb arrays ``(state_hi, state_lo, inc_hi,
+    inc_lo)`` of ``_BLOCK`` indices at a time.
 
     The spawn key enters SeedSequence's entropy after the seed words, so the
     pool mixed from the seed alone is ``SeedSequence(seed).pool`` (which also
     keeps numpy's seed validation).  Each index word then mixes into the four
     pool words with the hash constant at that point of the sequence, the pool
     is hashed into four 64-bit words (``generate_state``), and PCG64 seeds
-    itself from them (``pcg_setseq_128_srandom_r``).
+    itself from them (``pcg_setseq_128_srandom_r``: inc = seq << 1 | 1,
+    state = (inc + initstate) * MULT + inc mod 2**128), in limb arithmetic.
     """
     if not indices:
         return
@@ -78,9 +122,63 @@ def _pcg64_states(seed: int, indices: range) -> Iterator[tuple[int, int]]:
             mixed ^= mixed >> np.uint32(16)
             mixer = mixed if k == 0 else np.where((idx >> (32 * k) != 0)[:, None], mixed, mixer)
         out = _hashmix(mixer[:, [0, 1, 2, 3, 0, 1, 2, 3]], _OUTPUT_CONSTS)
-        for s_hi, s_lo, i_hi, i_lo in np.ascontiguousarray(out, "<u4").view("<u8").tolist():
-            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
-            yield ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _M128, inc
+        s_hi, s_lo, i_hi, i_lo = np.ascontiguousarray(out, "<u4").view("<u8").T
+        inc_hi, inc_lo = i_hi << _U1 | i_lo >> _U63, i_lo << _U1 | _U1
+        _add128(s_hi, s_lo, inc_hi, inc_lo)
+        state = _mul128(s_hi, s_lo, _MULT_HI, _MULT_LO)
+        _add128(*state, inc_hi, inc_lo)
+        yield (*state, inc_hi, inc_lo)
+
+
+@functools.cache
+def _jumps(levels: int) -> tuple[np.ndarray, ...]:
+    """(MULT**k, sum_{i<k} MULT**i) for k = 1 .. 2**levels: read-only limb
+    arrays (A_hi, A_lo, B_hi, B_lo), each level built by doubling the one
+    below it."""
+    if levels == 0:
+        table = tuple(np.array([v], dtype=np.uint64) for v in (_MULT_HI, _MULT_LO, 0, 1))
+    else:
+        a_hi, a_lo, b_hi, b_lo = low = _jumps(levels - 1)
+        a_m = a_hi[-1:], a_lo[-1:]  # A_{m+j} = A_m A_j, B_{m+j} = B_m + A_m B_j
+        high_b = _mul128(b_hi, b_lo, *a_m)
+        _add128(*high_b, b_hi[-1:], b_lo[-1:])
+        table = tuple(np.concatenate(pair)
+                      for pair in zip(low, (*_mul128(a_hi, a_lo, *a_m), *high_b)))
+    for t in table:
+        t.setflags(write=False)
+    return table
+
+
+def _pcg64_random(state_hi, state_lo, inc_hi, inc_lo, k: int):
+    """The next ``k`` ``Generator.random()`` doubles of each PCG64 lane, as an
+    (n, k) array, and the lanes' (hi, lo) states after each draw.
+
+    Draw j (from 1) outputs the state A_j state + B_j inc after j steps:
+    XSL-RR (the high and low words xored, rotated right by the top six
+    bits), then (x >> 11) * 2**-53.
+    """
+    a_hi, a_lo, b_hi, b_lo = (t[:k] for t in _jumps(max(0, k - 1).bit_length()))
+    hi, lo = _mul128(state_hi[:, None], state_lo[:, None], a_hi, a_lo)
+    _add128(hi, lo, *_mul128(inc_hi[:, None], inc_lo[:, None], b_hi, b_lo))
+    rot = hi >> _U58
+    x = hi ^ lo
+    low_bits = x >> rot
+    np.left_shift(x, _U64 - rot & _U63, out=x)
+    x |= low_bits
+    x >>= _U11
+    draws = x.astype(np.float64)
+    draws *= 2.0**-53
+    return draws, hi, lo
+
+
+def _reseeded(rng: np.random.Generator, lanes) -> Iterator[np.random.Generator]:
+    """``rng`` with its PCG64 put at each lane of the limb arrays ``lanes``
+    (state_hi, state_lo, inc_hi, inc_lo) in turn, no half-word buffered."""
+    for s_hi, s_lo, i_hi, i_lo in zip(*(a.tolist() for a in lanes)):
+        rng.bit_generator.state = {"bit_generator": "PCG64",
+                                   "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
+                                   "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 def trial_rngs(master_seed: int, indices: range) -> Iterator[np.random.Generator]:
@@ -90,11 +188,8 @@ def trial_rngs(master_seed: int, indices: range) -> Iterator[np.random.Generator
     index, so a trial must be done with it before the next one starts.
     """
     rng = np.random.Generator(np.random.PCG64(0))
-    bit_generator = rng.bit_generator
-    for state, inc in _pcg64_states(master_seed, indices):
-        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-        yield rng
+    for block in _pcg64_states(master_seed, indices):
+        yield from _reseeded(rng, block)
 
 
 def trial_rng(master_seed: int, index: int) -> np.random.Generator:

@@ -1,7 +1,8 @@
 """Recycling execution loop: run the dilation, conditionally measure, and on
 a miss restore an input state and go again, until a hit or the cycle budget
 runs out.  ``run_recycling`` runs one trial; ``run_trials`` runs the seeded
-trials of an experiment, reusing their readouts within the call.
+trials of an experiment on one depth-indexed chain of readouts, drawing
+blocks of trials in lockstep from a numpy PCG64.
 
 Recovery strategies: ``ExactUnitary`` applies a detected unitary that maps
 the normalized miss state back onto the input (exists iff the miss-branch
@@ -15,7 +16,6 @@ state exists to recover.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +33,7 @@ from .duality import (
     dense_operator_buffer,
     rewinds_draws,
 )
-from .rand import trial_rngs
+from . import rand
 from .statevec import (
     DEFAULT_UNITARY_TOL,
     StateVector,
@@ -48,6 +48,12 @@ MAX_CYCLES_CAP = 1_000_000
 #: Bytes counted for the Python objects of one chain link, beside its
 #: arrays (about 1.3 KiB measured on a 1-qubit gate).
 LINK_OBJECT_BYTES = 2048
+#: Lockstep limits of ``run_trials`` (see ``_in_lockstep``): a step draws at
+#: most ``_STEP_ELEMENTS`` doubles, twice ``rand._BLOCK`` or more, so every
+#: lane of a block draws at least two.
+_MIN_LANES = 32
+_DRAW_WINDOW = 128
+_STEP_ELEMENTS = 1 << 12
 
 
 class InfiniteExpectationError(ValueError):
@@ -198,48 +204,148 @@ def _checked_budget(input_state: StateVector, circuit: DilationCircuit,
     return max_cycles
 
 
-def _trials(input_state: StateVector, circuit: DilationCircuit, strategy: RecoveryStrategy,
-            max_cycles: int, rngs, chunked: bool,
-            max_links: int) -> Iterator[tuple[MeasurementOutcome, int]]:
-    """(final outcome, cycles) of one trial per generator in ``rngs``; ``chunked``
-    when every one passes ``rewinds_draws``.
+class _Chain:
+    """The (work state, readout) pairs of an experiment by depth, the number
+    of cycles a trial has done: the input's, then after each miss the
+    strategy's next work state and its readout, the same in every trial.
 
-    A trial measures the input's readout and, after each miss, the readout
-    of the strategy's next work state.  That walk is the same in every
-    trial, so up to ``max_links`` links from a missed readout to (next work
-    state, its readout) are kept for the trials after it, which follow them
-    instead of recovering and dilating again.  A next state with the bits
-    of the current one (the same object, or equal bytes, so -0.0 and 0.0
-    differ) links back to the current readout.
+    A depth is built when a trial first reaches it and kept while the chain
+    holds at most ``max_links`` depths past the input.  A next state with
+    the bits of the one before it (the same object, or equal bytes, so -0.0
+    and 0.0 differ) is a fixed point: every deeper cycle measures that
+    readout again.
     """
-    start = (input_state, circuit.readout(input_state))
-    links: dict[Readout, tuple[StateVector, Readout]] = {}
-    for rng in rngs:
-        state, readout = start
-        missed = None
-        cycles = 0
+
+    __slots__ = ("circuit", "strategy", "max_links", "states", "readouts", "fixed")
+
+    def __init__(self, input_state: StateVector, circuit: DilationCircuit,
+                 strategy: RecoveryStrategy, max_links: int):
+        self.circuit, self.strategy, self.max_links = circuit, strategy, max_links
+        self.states, self.readouts = [input_state], [circuit.readout(input_state)]
+        self.fixed: int | None = None
+
+    def room(self, depth: int) -> float:
+        """Depths from ``depth`` on that the chain keeps or will keep."""
+        return math.inf if self.fixed is not None else self.max_links + 1 - depth
+
+    def at(self, depth: int, pair: tuple[StateVector, Readout] | None = None
+           ) -> tuple[StateVector, Readout]:
+        """The pair measured at ``depth``, for a trial that missed on ``pair``
+        at depth - 1 (needed only past the kept depths)."""
+        if self.fixed is not None:
+            depth = min(depth, self.fixed)
+        if depth < len(self.readouts):
+            return self.states[depth], self.readouts[depth]
+        if depth > len(self.readouts):
+            return self._after_miss(*pair)
+        nxt = self._after_miss(self.states[-1], self.readouts[-1])
+        if nxt[1] is self.readouts[-1]:
+            self.fixed = depth - 1
+        elif depth <= self.max_links:
+            self.states.append(nxt[0])
+            self.readouts.append(nxt[1])
+        return nxt
+
+    def hit_probabilities(self, depth: int, count: int) -> np.ndarray:
+        """p_hit of the kept depths from ``depth`` on, at most ``count``."""
+        row = [r.p_hit for r in self.readouts[depth:depth + count]]
+        if self.fixed is not None:
+            row += [self.readouts[self.fixed].p_hit] * (count - len(row))
+        return np.array(row)
+
+    def _after_miss(self, state: StateVector, readout: Readout) -> tuple[StateVector, Readout]:
+        miss = readout.miss()
+        if isinstance(self.strategy, Reset):
+            nxt = self.strategy.input
+        else:
+            nxt = _fresh_state(state.num_qubits,
+                               self.strategy.recovery @ miss.post_state.amplitudes[state.dim:])
+        if nxt is state or nxt.amplitudes.tobytes() == state.amplitudes.tobytes():
+            return state, readout
+        return nxt, self.circuit.readout(nxt)
+
+    def walk(self, rng, depth: int, max_cycles: int,
+             chunked: bool) -> tuple[MeasurementOutcome, int]:
+        """(final outcome, cycles) of a trial that has missed ``depth`` times,
+        going on with ``rng``; ``chunked`` when it passes ``rewinds_draws``.
+        A cycle that measures the readout the cycle before missed on draws
+        the rest of the trial with ``Readout.measure_until_hit``."""
+        pair, missed = self.at(depth), None
         while True:
+            readout = pair[1]
             if chunked and readout is missed:
-                used, outcome = readout.measure_until_hit(rng, max_cycles - cycles)
+                used, outcome = readout.measure_until_hit(rng, max_cycles - depth)
             else:
                 used, outcome = 1, readout.measure(rng)
-            cycles += used
-            if isinstance(outcome, Hit) or cycles >= max_cycles:
-                break
+            depth += used
+            if isinstance(outcome, Hit) or depth >= max_cycles:
+                return outcome, depth
             missed = readout
-            link = links.get(readout)
-            if link is None:
-                if isinstance(strategy, Reset):
-                    nxt = strategy.input
-                else:
-                    miss_work = outcome.post_state.amplitudes[state.dim:]
-                    nxt = _fresh_state(state.num_qubits, strategy.recovery @ miss_work)
-                same = nxt is state or nxt.amplitudes.tobytes() == state.amplitudes.tobytes()
-                link = (state, readout) if same else (nxt, circuit.readout(nxt))
-                if len(links) < max_links:
-                    links[readout] = link
-            state, readout = link
-        yield outcome, cycles
+            pair = self.at(depth, pair)
+
+
+def _in_lockstep(chain: _Chain, lanes: int, depth: int, max_cycles: int) -> bool:
+    """Whether ``lanes`` trials at ``depth`` take another lockstep step: at
+    least ``_MIN_LANES`` of them, inside the budget, the kept depths and the
+    first ``_DRAW_WINDOW`` cycles, at a depth whose p_hit is at least
+    1 / ``_DRAW_WINDOW``.
+
+    A lockstep double costs 25-40 ns against ~2 ns from ``Generator.random``,
+    while a trial finished on its own costs about 8 us of Python: lockstep
+    pays for trials expected to hit within a couple of hundred draws, and a
+    step over few lanes is mostly fixed overhead.
+    """
+    return (lanes >= _MIN_LANES and depth < min(_DRAW_WINDOW, max_cycles) and chain.room(depth) > 0
+            and chain.at(depth)[1].p_hit * _DRAW_WINDOW >= 1.0)
+
+
+def _lockstep(chain: _Chain, lanes: np.ndarray, lane_state: tuple[np.ndarray, ...], depth: int,
+              max_cycles: int, cycles: np.ndarray, hit_index: np.ndarray):
+    """One lockstep step of the trials ``lanes``, whose PCG64s are at
+    ``lane_state`` (``rand._pcg64_states`` limbs) after ``depth`` misses
+    each: record the trials that end in it, and return the others, their
+    states and their depth.
+
+    Draw i of a lane is its branch draw at depth + i, a Hit when below that
+    depth's p_hit, and draw i + 1 is then its index draw.  A depth the chain
+    lacks is built only once some lane has missed every depth before it.
+    """
+    n = lanes.size
+    p = chain.at(depth)[1].p_hit
+    k = min(_STEP_ELEMENTS // n - 1, max_cycles - depth, _DRAW_WINDOW - depth, chain.room(depth))
+    if p * k > 2.0:
+        k = math.ceil(2.0 / p)
+    draws, state_hi, state_lo = rand._pcg64_random(*lane_state, k + 1)
+    rows = np.arange(n)
+    while True:
+        p_row = chain.hit_probabilities(depth, k)
+        below = draws[:, :p_row.size] < p_row
+        first = below.argmax(axis=1)
+        hit = below[rows, first]
+        if p_row.size == k or hit.all():
+            break
+        chain.at(depth + p_row.size)
+    if hit.any():
+        rows = rows[hit]
+        done, at = lanes[rows], first[rows]
+        cycles[done] = depth + at + 1
+        index_draws = draws[rows, at + 1]
+        # one searchsorted per readout: the depths from a fixed point on share one
+        kept = depth + at if chain.fixed is None else np.minimum(depth + at, chain.fixed)
+        base = int(kept.min())
+        for d in (np.flatnonzero(np.bincount(kept - base)) + base).tolist():
+            mine = kept == d
+            hit_index[done[mine]] = chain.readouts[d].hit_indices(index_draws[mine])
+    going = ~hit
+    depth += k
+    if depth == max_cycles and going.any():
+        chain.at(depth - 1)[1].miss()  # the last cycle's Miss, which measure builds
+        cycles[lanes[going]] = max_cycles
+        hit_index[lanes[going]] = -1
+        going[:] = False
+    inc_hi, inc_lo = lane_state[2:]
+    return (lanes[going], (state_hi[going, k - 1], state_lo[going, k - 1], inc_hi[going],
+                           inc_lo[going]), depth)
 
 
 def run_recycling(input_state: StateVector, circuit: DilationCircuit,
@@ -257,19 +363,19 @@ def run_recycling(input_state: StateVector, circuit: DilationCircuit,
     ``run_dilation`` checks it.
 
     The trial dilates its input once and each new work state once; it keeps
-    no links, since one trial never returns to a readout it has left.  A
-    cycle whose readout is the one the cycle before missed on (every cycle
-    under Reset after the first, and a unitary recovery at a bit-exact
-    fixed point) repeats the same measurement, so with a PCG64
-    ``Generator`` the run of such cycles is drawn in chunks by
+    none of them past the cycle after, since one trial never returns to a
+    readout it has left.  A cycle whose readout is the one the cycle before
+    missed on (every cycle under Reset after the first, and a unitary
+    recovery at a bit-exact fixed point) repeats the same measurement, so
+    with a PCG64 ``Generator`` the run of such cycles is drawn in chunks by
     ``Readout.measure_until_hit``.  Any other ``rng`` (only ``.random()`` is
     needed) draws one cycle at a time.  Either way the cycles use the same
     doubles in the same order, and leave ``rng`` in the same state, as
     running the dilation and ``conditional_measure`` every cycle.
     """
     max_cycles = _checked_budget(input_state, circuit, strategy, max_cycles)
-    return RecyclingRun(*next(_trials(input_state, circuit, strategy, max_cycles, (rng,),
-                                      rewinds_draws(rng), 0)))
+    chain = _Chain(input_state, circuit, strategy, 0)
+    return RecyclingRun(*chain.walk(rng, 0, max_cycles, rewinds_draws(rng)))
 
 
 def run_trials(input_state: StateVector, circuit: DilationCircuit, strategy: RecoveryStrategy,
@@ -279,22 +385,38 @@ def run_trials(input_state: StateVector, circuit: DilationCircuit, strategy: Rec
     int64 arrays (cycles, hit_index), with hit_index -1 for a trial whose
     budget ran out.
 
-    The trials share one chain of readouts (see ``_trials``): the input is
-    dilated once per call, and so is each distinct work state the trials
-    reach, up to ``_max_links(gate.dim)`` links (``MAX_DENSE_BYTES`` in
-    all); cycles past that build their state and readout anew.  The chain
-    is dropped when the call returns.  Every ``trial_rngs`` generator draws
-    in chunks, so each trial gives the same cycles and hit index as
-    ``run_recycling`` on its ``trial_rng``.
+    The trials share one ``_Chain``, kept up to ``_max_links(gate.dim)``
+    depths (``MAX_DENSE_BYTES`` in all) and dropped when the call returns:
+    the input is dilated once per call, and so is each kept work state.
+    The trials run in lockstep, one block of ``rand._pcg64_states`` lanes
+    at a time: every lane still going is at the same depth d, and a step
+    draws K + 1 doubles per lane from its PCG64 (``rand._pcg64_random``), K
+    branch draws for depths d .. d + K - 1 and the index draw after a Hit,
+    with K = ceil(2 / p_hit) at most.  The lanes of a block leave lockstep
+    together (``_in_lockstep``) and finish one at a time on a PCG64
+    ``Generator``, through ``_Chain.walk`` as ``run_recycling`` does.  Each
+    trial gives the same cycles and hit index as ``run_recycling`` on its
+    ``trial_rng``.
     """
     max_cycles = _checked_budget(input_state, circuit, strategy, max_cycles)
+    chain = _Chain(input_state, circuit, strategy, _max_links(circuit.gate.dim))
     cycles = np.empty(len(indices), dtype=np.int64)
     hit_index = np.empty(len(indices), dtype=np.int64)
-    for t, (outcome, used) in enumerate(_trials(input_state, circuit, strategy, max_cycles,
-                                                trial_rngs(seed, indices), True,
-                                                _max_links(circuit.gate.dim))):
-        cycles[t] = used
-        hit_index[t] = outcome.sampled_index if isinstance(outcome, Hit) else -1
+    tail_rng = None
+    start = 0
+    for lane_state in rand._pcg64_states(seed, indices):
+        lanes = np.arange(start, start + lane_state[0].size)
+        start += lanes.size
+        depth = 0
+        while _in_lockstep(chain, lanes.size, depth, max_cycles):
+            lanes, lane_state, depth = _lockstep(chain, lanes, lane_state, depth, max_cycles,
+                                                 cycles, hit_index)
+        if lanes.size:
+            if tail_rng is None:
+                tail_rng = np.random.Generator(np.random.PCG64(0))
+            for lane, rng in zip(lanes.tolist(), rand._reseeded(tail_rng, lane_state)):
+                outcome, cycles[lane] = chain.walk(rng, depth, max_cycles, True)
+                hit_index[lane] = outcome.sampled_index if isinstance(outcome, Hit) else -1
     return cycles, hit_index
 
 

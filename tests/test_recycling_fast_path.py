@@ -2,21 +2,31 @@
 
 ``run_recycling`` runs one trial and ``run_trials`` runs many on one chain
 of readouts: a trial measures the input's readout, and after each miss the
-readout of the next work state, which ``run_trials`` keeps for the trials
-after it, up to a bound on the links one chain keeps.  A run of repeated
-measurements of one readout is drawn in chunks when the generator is a
-rewindable PCG64 ``Generator``.  The reference runs the dilation and
+readout of the next work state, which ``run_trials`` keeps, indexed by
+depth, for the trials after it, up to a bound on the depths one chain
+keeps.  ``run_trials`` draws blocks of trials in lockstep from a numpy
+PCG64 and finishes the last lanes of a block one at a time.  A run of
+repeated measurements of one readout is drawn in chunks when the generator
+is a rewindable PCG64 ``Generator``.  The reference runs the dilation and
 ``conditional_measure`` on every cycle, one scalar draw at a time.  Under
-Reset (also from a different input), ExactUnitary and Custom recovery,
-across the link bound, at a bit-exact fixed point, and with generators that
-take the chunked or the scalar path, the two must give the same cycle
-count, outcome and post-state bytes, leave the generator in the same state,
-and raise ``DegenerateBranchError`` at the same draw; ``run_trials`` must
-give each trial the cycles and hit index of the reference on
-``trial_rng(seed, t)``.  A bad input is refused before the first draw.
+Reset (also from a different input), ExactUnitary and Custom recovery, on a
+gate that never hits, across the chain's bound, at a bit-exact fixed point,
+and with generators that take the chunked or the scalar path, the two must
+give the same cycle count, outcome and post-state bytes, leave the
+generator in the same state, and raise ``DegenerateBranchError`` at the
+same draw; ``run_trials`` must give each trial the cycles and hit index of
+the reference on ``trial_rng(seed, t)``, on either side of the lockstep
+limits, and raise the reference's ``DegenerateBranchError``.  A bad input
+is refused before the first draw.
 """
+import gc
 import itertools
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +47,7 @@ from dualsim import (
     basis_state,
     build_dilation,
     conditional_measure,
+    duality,
     exact_recovery,
     hit_probability,
     hybrid_search,
@@ -58,34 +69,47 @@ PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
 def reference_loop(state, circuit, strategy, max_cycles, rng):
-    """(outcome, cycles), running the dilation and measuring every cycle.
+    """(outcome, cycles), measuring a fresh dilated state every cycle.
 
     After a miss the next cycle starts from the Reset input, or from the
-    recovery unitary applied to the miss work amplitudes.
+    recovery unitary applied to the miss work amplitudes (dilated anew;
+    the Reset input's dilation is computed once per call).
     """
-    work = state
+    full = run_dilation(state, circuit)
+    if isinstance(strategy, Reset):
+        reset_full = run_dilation(strategy.input, circuit)
     for cycle in range(1, max_cycles + 1):
-        outcome = conditional_measure(run_dilation(work, circuit), circuit.num_aux_qubits, rng)
+        outcome = conditional_measure(full, circuit.num_aux_qubits, rng)
         if isinstance(outcome, Hit):
             return outcome, cycle
         if isinstance(strategy, Reset):
-            work = strategy.input
+            full = reset_full
         else:
             miss_work = outcome.post_state.amplitudes[state.dim:]
-            work = StateVector(state.num_qubits, strategy.recovery @ miss_work)
+            full = run_dilation(StateVector(state.num_qubits, strategy.recovery @ miss_work),
+                                circuit)
     return outcome, max_cycles
 
 
-def assert_same_trials(state, circuit, strategy, max_cycles, seed, trials):
-    """``run_trials`` over ``range(trials)`` against ``reference_loop`` on each
-    ``trial_rng(seed, t)``: the same cycles and hit index (-1 for exhausted).
-    Returns the cycle counts."""
-    cycles, hit_index = run_trials(state, circuit, strategy, max_cycles, seed, range(trials))
-    assert cycles.dtype == hit_index.dtype == np.int64
+def reference_trials(state, circuit, strategy, max_cycles, seed, trials):
+    """``reference_loop`` on ``trial_rng(seed, t)`` for t < ``trials``: int64
+    arrays (cycles, hit index), -1 for exhausted."""
+    cycles, hit_index = [], []
     for t in range(trials):
         outcome, used = reference_loop(state, circuit, strategy, max_cycles, trial_rng(seed, t))
-        assert cycles[t] == used
-        assert hit_index[t] == (outcome.sampled_index if isinstance(outcome, Hit) else -1)
+        cycles.append(used)
+        hit_index.append(outcome.sampled_index if isinstance(outcome, Hit) else -1)
+    return np.array(cycles, dtype=np.int64), np.array(hit_index, dtype=np.int64)
+
+
+def assert_same_trials(state, circuit, strategy, max_cycles, seed, trials):
+    """``run_trials`` over ``range(trials)`` against ``reference_trials``: the
+    same cycles and hit index (-1 for exhausted).  Returns the cycle counts."""
+    cycles, hit_index = run_trials(state, circuit, strategy, max_cycles, seed, range(trials))
+    assert cycles.dtype == hit_index.dtype == np.int64
+    ref_cycles, ref_hit_index = reference_trials(state, circuit, strategy, max_cycles, seed, trials)
+    assert cycles.tolist() == ref_cycles.tolist()
+    assert hit_index.tolist() == ref_hit_index.tolist()
     return cycles
 
 
@@ -246,19 +270,42 @@ def link_bytes(circuit):
     return 4 * 16 * (2 * circuit.gate.dim) + recycling.LINK_OBJECT_BYTES
 
 
-@settings(max_examples=50, deadline=None)
-@given(kind=st.sampled_from(["reset", "reset_other_input", "exact", "custom"]),
-       num_qubits=st.integers(1, 2), search_qubits=st.integers(6, 8),
-       links=st.none() | st.integers(0, 12), gate_seed=st.integers(0, 2**32 - 1),
-       run_seed=st.integers(0, 2**32 - 1), max_cycles=st.integers(1, 1200))
+#: Trial counts on both sides of ``recycling._MIN_LANES`` (32): fewer lanes
+#: never enter lockstep, and a block that drops below it finishes one trial at
+#: a time.
+TRIAL_COUNTS = [1, 31, 32, 33, 200]
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(["reset", "reset_other_input", "exact", "custom", "never_hit"]),
+       trials=st.sampled_from(TRIAL_COUNTS), num_qubits=st.integers(1, 2),
+       search_qubits=st.integers(4, 8), links=st.none() | st.integers(0, 12),
+       gate_seed=st.integers(0, 2**32 - 1), run_seed=st.integers(0, 2**32 - 1),
+       max_cycles=st.integers(1, 1200))
 # P0 = 1/256: trial 3 misses 1100 times, two full chunks of 512 and a cut one
-@example(kind="reset", num_qubits=1, search_qubits=8, links=None, gate_seed=0, run_seed=8,
-         max_cycles=1100)
-def test_run_trials_matches_reference(kind, num_qubits, search_qubits, links, gate_seed,
+@example(kind="reset", trials=8, num_qubits=1, search_qubits=8, links=None, gate_seed=0,
+         run_seed=8, max_cycles=1100)
+# P0 = 1/16, so steps draw ceil(2 / P0) = 32 cycles: budgets that end inside
+# the first step, at the end of the lockstep window and just past it
+@example(kind="reset", trials=200, num_qubits=1, search_qubits=4, links=None, gate_seed=1,
+         run_seed=3, max_cycles=5)
+@example(kind="reset", trials=200, num_qubits=1, search_qubits=4, links=None, gate_seed=1,
+         run_seed=3, max_cycles=128)
+@example(kind="reset", trials=200, num_qubits=1, search_qubits=4, links=None, gate_seed=1,
+         run_seed=3, max_cycles=129)
+# P0 = 1/128 = 1 / the window: lanes leave lockstep at the window, 128 cycles in
+@example(kind="reset", trials=200, num_qubits=1, search_qubits=7, links=None, gate_seed=1,
+         run_seed=3, max_cycles=1200)
+# a chain of three depths: lanes leave lockstep at its end
+@example(kind="custom", trials=200, num_qubits=1, search_qubits=4, links=2, gate_seed=5,
+         run_seed=9, max_cycles=40)
+def test_run_trials_matches_reference(kind, trials, num_qubits, search_qubits, links, gate_seed,
                                       run_seed, max_cycles):
+    assert recycling._MIN_LANES == 32 and recycling._DRAW_WINDOW == 128
     rng = np.random.default_rng(gate_seed)
     if kind.startswith("reset"):
-        # P0 = 1/64 .. 1/256 from the uniform state: runs that span draw chunks
+        # P0 = 1/16 .. 1/256 from the uniform state: runs that span draw chunks
+        # and lockstep steps, and runs that never enter lockstep (P0 < 1/128)
         marked = int(rng.integers(1 << search_qubits))
         circuit = build_dilation(search_gate(SearchProblem(search_qubits, frozenset({marked}))))
         stored = uniform_state(search_qubits)
@@ -269,14 +316,19 @@ def test_run_trials_matches_reference(kind, num_qubits, search_qubits, links, ga
         strategy = ExactUnitary(exact_recovery(circuit))
         state = random_state(num_qubits, rng)
     else:
-        circuit = build_dilation(random_gate(2, num_qubits, rng))
-        strategy = Custom(random_unitary(circuit.gate.dim, rng))
-        state = random_state(num_qubits, rng)
+        # Custom drifts to a new state every cycle; never_hit is P0 = 0 under
+        # Reset or Custom
+        gate = (DualityGate(np.array([0.5, 0.5]), (I2, -I2)) if kind == "never_hit"
+                else random_gate(2, num_qubits, rng))
+        circuit = build_dilation(gate)
+        state = basis_state(1, 0) if kind == "never_hit" else random_state(num_qubits, rng)
+        strategy = (Reset(state) if kind == "never_hit" and rng.random() < 0.5
+                    else Custom(random_unitary(circuit.gate.dim, rng)))
         max_cycles = max_cycles % 60 + 1  # the reference dilates every cycle
     with pytest.MonkeyPatch.context() as mp:
-        if links is not None:  # a chain of at most ``links`` links
+        if links is not None:  # a chain of at most ``links`` depths past the input
             mp.setattr(recycling, "MAX_DENSE_BYTES", links * link_bytes(circuit) + 1)
-        assert_same_trials(state, circuit, strategy, max_cycles, run_seed, 8)
+        assert_same_trials(state, circuit, strategy, max_cycles, run_seed, trials)
 
 
 def test_fixed_point_recovery_draws_in_chunks(monkeypatch):
@@ -311,7 +363,8 @@ def test_fixed_point_recovery_draws_in_chunks(monkeypatch):
 def test_runs_across_the_link_bound_match_reference(num_qubits, links, gate_seed, run_seed):
     # a drifting Custom recovery reaches a new state every cycle: the first
     # ``links`` states after the input are dilated once per call, deeper ones
-    # once per trial that reaches them
+    # once per trial that reaches them; 12 trials run one at a time, 40 in
+    # lockstep up to the bound
     rng = np.random.default_rng(gate_seed)
     circuit = build_dilation(random_gate(2, num_qubits, rng))
     strategy = Custom(random_unitary(circuit.gate.dim, rng))
@@ -320,10 +373,11 @@ def test_runs_across_the_link_bound_match_reference(num_qubits, links, gate_seed
         mp.setattr(recycling, "MAX_DENSE_BYTES", links * link_bytes(circuit) + 1)
         for t in range(12):
             assert_same_run(state, circuit, strategy, 40, lambda: trial_rng(run_seed, t))
-        calls = count_dilations(mp)
-        cycles = assert_same_trials(state, circuit, strategy, 40, run_seed, 12)
-        assert len(calls) == 1 + min(links, cycles.max() - 1) + np.maximum(
-            cycles - 1 - links, 0).sum()
+        for trials in (12, 40):
+            calls = count_dilations(mp)
+            cycles = assert_same_trials(state, circuit, strategy, 40, run_seed, trials)
+            assert len(calls) == 1 + min(links, cycles.max() - 1) + np.maximum(
+                cycles - 1 - links, 0).sum()
 
 
 def test_drifting_exhausted_run_keeps_no_link_past_the_bound(monkeypatch):
@@ -433,6 +487,90 @@ def test_degenerate_miss_raises_at_the_same_draw():
             assert json.loads(ref[0])["state"]["state"] == top << 11
         else:
             assert ref[0] == stopped_at
+
+
+def trials_or_error(run):
+    """``run()``'s (cycles, hit index) as lists, or the message of the
+    ``DegenerateBranchError`` it raised."""
+    try:
+        return [a.tolist() for a in run()]
+    except DegenerateBranchError as exc:
+        return str(exc)
+
+
+def phase_gate(p_hit):
+    """(I, e^{i theta} I) with cos(theta / 2)**2 = ``p_hit`` on |0>."""
+    return DualityGate(np.array([0.5, 0.5]), (I2, np.exp(2j * np.arccos(np.sqrt(p_hit))) * I2))
+
+
+@pytest.mark.parametrize("trials", TRIAL_COUNTS)
+@pytest.mark.parametrize("branch, p_hit", [("hit", 0.2), ("miss", 0.9)])
+def test_run_trials_degenerate_branch_raises_like_reference(monkeypatch, branch, p_hit, trials):
+    # the run_trials twins of the two tests above: with the tolerance at 0.5,
+    # P0 = 0.2 leaves a hit branch of norm 0.45 and P0 = 0.9 a miss branch of
+    # norm 0.32 that count as degenerate, so seeded trials reach them; the
+    # first trial of the reference to draw that branch raises, and run_trials,
+    # in lockstep or one trial at a time, raises the same error
+    # (a budget of one cycle ends every trial on its first draw, and a miss
+    # there still builds the miss branch)
+    monkeypatch.setattr(duality, "DEGENERATE_BRANCH_TOL", 0.5)
+    state = basis_state(1, 0)
+    circuit = build_dilation(phase_gate(p_hit))
+    for seed, max_cycles in itertools.product((3, 4), (1, 100)):
+        fast = trials_or_error(lambda: run_trials(state, circuit, Reset(state), max_cycles, seed,
+                                                  range(trials)))
+        ref = trials_or_error(lambda: reference_trials(state, circuit, Reset(state), max_cycles,
+                                                       seed, trials))
+        assert fast == ref
+        if trials > 1:
+            assert ref == f"{branch} branch has vanishing norm; cannot normalize"
+
+
+#: tracemalloc peak allowed for ``run_trials`` over 4000 trials of 10**4
+#: cycles; about 0.53 MB was measured for both runs below (numpy 2.4.6).
+WIDE_RUN_PEAK_BYTES = 1 << 20
+
+
+@pytest.mark.parametrize("gate, marked", [("never_hit", None), ("search", 13)])
+def test_wide_exhausting_run_stays_small(gate, marked):
+    # 4000 trials of 10**4 cycles that never hit (P0 = 0), or at P0 = 1/128
+    # draw in lockstep up to the window and then finish one at a time:
+    # neither holds more than a block's draws at once
+    if gate == "never_hit":
+        circuit, state = build_dilation(DualityGate(np.array([0.5, 0.5]), (I2, -I2))), basis_state(1, 0)
+    else:
+        circuit = build_dilation(search_gate(SearchProblem(7, frozenset({marked}))))
+        state = uniform_state(7)
+    run_trials(state, circuit, Reset(state), 10**4, 5, range(40))  # one-time set-up
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cycles, _ = run_trials(state, circuit, Reset(state), 10**4, 5, range(4000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < WIDE_RUN_PEAK_BYTES
+    assert (cycles == 10**4).all() if gate == "never_hit" else cycles.max() > recycling._DRAW_WINDOW
+
+
+def test_run_trials_builds_no_jump_table_at_import_and_loads_no_numpy_ma():
+    # numpy.ma (loaded by np.unique, for one) would add ~1.2 MB of peak RSS
+    code = """if True:
+        import sys
+        import dualsim
+        from dualsim import rand
+        assert rand._jumps.cache_info().currsize == 0
+        state = dualsim.uniform_state(4)
+        circuit = dualsim.build_dilation(dualsim.search_gate(dualsim.SearchProblem(4, frozenset({3}))))
+        cycles, _ = dualsim.run_trials(state, circuit, dualsim.Reset(state), 1024, 7, range(2000))
+        assert rand._jumps.cache_info().currsize > 0
+        assert "numpy.ma" not in sys.modules
+        """
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_search_experiment_matches_hybrid_search_per_trial():

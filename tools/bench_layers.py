@@ -26,10 +26,15 @@ that use it run the ``run_recycling`` loop over ``trial_rngs`` instead, and
                              built for the round
   trial.exhausted_1e6_ms     one Reset trial with P0 = 0 (search gate n = 4,
                              marked 13, input |0>) that spends 10**6 cycles
+  trial.exhausted_wide_ms    256 such trials of 10**4 cycles in one
+                             ``run_trials`` call, seeding included
   trial.exhausted_drift_ms   one Custom(e^{0.3i} I) trial on the P0 = 0 gate
                              (I, -I) from |0>: 2*10**5 cycles, each from a new
                              state, on a circuit built for the round, and
-                             freeing that circuit afterwards
+                             freeing that circuit afterwards; each round runs
+                             it in a new process, whose teardown would
+                             otherwise slow the layers after it
+  trial.exhausted_drift_peak_mb  that process's peak RSS (Linux VmHWM)
   circuit.gate_n8_ms         ``duality_gate_of`` + ``build_dilation`` of a
   circuit.gate_n10_ms        two-slit block of 12 h/t/cx lines per slit (the
                              ``circuit_dense`` kind of block) at n = 8 and 10
@@ -105,10 +110,33 @@ def timed(call) -> tuple[int, int]:
     return time.perf_counter_ns() - start, 1
 
 
-def measure(repeats: int) -> dict:
+# The drifting trial of ``trial.exhausted_drift_ms``, run as
+# ``python -c DRIFT_TRIAL SRC SEED``: prints its time (freeing what it built
+# included) and the process's peak RSS, VmHWM (``ru_maxrss`` would also
+# count the memory of the process that started it).
+DRIFT_TRIAL = """
+import json, sys, time
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from dualsim import Custom, DualityGate, basis_state, build_dilation, run_recycling
+eye = np.eye(2, dtype=np.complex128)
+rng = np.random.default_rng(int(sys.argv[2]))
+circuit = build_dilation(DualityGate(np.array([0.5, 0.5]), (eye, -eye)))
+start = time.perf_counter_ns()
+run = run_recycling(basis_state(1, 0), circuit, Custom(np.exp(0.3j) * eye), 2 * 10**5, rng=rng)
+assert run.exhausted and run.cycles_used == 2 * 10**5
+del run, circuit
+elapsed = time.perf_counter_ns() - start
+with open("/proc/self/status", encoding="ascii") as status:
+    peak_kb = int(next(line for line in status if line.startswith("VmHWM:")).split()[1])
+print(json.dumps({"ns": elapsed, "peak_kb": peak_kb}))
+"""
+
+
+def measure(src: Path, repeats: int) -> dict:
     import numpy as np
 
-    from dualsim import (Custom, DualityGate, ExactUnitary, Reset, SearchProblem, basis_state,
+    from dualsim import (DualityGate, ExactUnitary, Reset, SearchProblem, basis_state,
                          build_dilation, exact_recovery, format_matrix_text, parse_circuit,
                          recycling, run_dilation, run_recycling, run_search_experiment, search,
                          search_gate, trial_rng, trial_rngs, uniform_state)
@@ -119,16 +147,16 @@ def measure(repeats: int) -> dict:
     def recovery_of(circuit):
         return exact_recovery(circuit if run_trials is not None else circuit.gate)
 
-    def trials_cycles(input_state, circuit, strategy, max_cycles):
-        """(elapsed ns, cycles) of the seeded trials 0..TRIALS-1, seeding included."""
+    def trials_cycles(input_state, circuit, strategy, max_cycles, trials=TRIALS):
+        """(elapsed ns, cycles) of the seeded trials 0..trials-1, seeding included."""
         start = time.perf_counter_ns()
         if run_trials is not None:
             cycles = int(run_trials(input_state, circuit, strategy, max_cycles, SEED,
-                                    range(TRIALS))[0].sum())
+                                    range(trials))[0].sum())
         else:
             cycles = sum(run_recycling(input_state, circuit, strategy, max_cycles,
                                        rng=rng).cycles_used
-                         for rng in trial_rngs(SEED, range(TRIALS)))
+                         for rng in trial_rngs(SEED, range(trials)))
         return time.perf_counter_ns() - start, cycles
 
     def seeding_single():
@@ -162,22 +190,14 @@ def measure(repeats: int) -> dict:
     phase_slit = DualityGate(np.array([0.5, 0.5]), (eye, 1j * eye))
     exact_strategy = ExactUnitary(recovery_of(build_dilation(phase_slit)))
 
-    never_hit = DualityGate(np.array([0.5, 0.5]), (eye, -eye))
-    drift_strategy = Custom(np.exp(0.3j) * eye)
+    drift_peaks_mb = []
 
     def drifting_trial():
-        rng = np.random.default_rng(SEED)
-        drift_circuit = build_dilation(never_hit)
-        start = time.perf_counter_ns()
-        run = run_recycling(qubit_zero, drift_circuit, drift_strategy, 2 * 10**5, rng=rng)
-        assert run.exhausted and run.cycles_used == 2 * 10**5
-        # The trial's cost includes freeing what it built (on 065c604, the
-        # chain of links the circuit kept): drop the circuit here, and make
-        # one request past glibc's small bins, which merges the freed blocks
-        # now instead of in the next layer.
-        del run, drift_circuit
-        bytearray(1 << 12)
-        return time.perf_counter_ns() - start, 1
+        child = subprocess.run([sys.executable, "-c", DRIFT_TRIAL, str(src), str(SEED)],
+                               capture_output=True, text=True, check=True)
+        result = json.loads(child.stdout)
+        drift_peaks_mb.append(result["peak_kb"] / 1024)
+        return result["ns"], 1
 
     zero = basis_state(4, 0)
     exhaust_strategy = Reset(zero)
@@ -188,6 +208,11 @@ def measure(repeats: int) -> dict:
         run = run_recycling(zero, circuit, exhaust_strategy, 10**6, rng=rng)
         assert run.exhausted and run.cycles_used == 10**6
         return time.perf_counter_ns() - start, 1
+
+    def exhausted_wide():
+        elapsed, cycles = trials_cycles(zero, circuit, exhaust_strategy, 10**4, trials=256)
+        assert cycles == 256 * 10**4
+        return elapsed, 1
 
     blocks = {n: (parse_circuit(block_circuit(n)).instructions[0], n) for n in (8, 10)}
     circuit10 = build_dilation(duality_gate_of(*blocks[10]))
@@ -212,6 +237,7 @@ def measure(repeats: int) -> dict:
               "cycle.exact_us": lambda: trials_cycles(qubit_zero, build_dilation(phase_slit),
                                                       exact_strategy, 128),
               "trial.exhausted_1e6_ms": exhausted_trial,
+              "trial.exhausted_wide_ms": exhausted_wide,
               "trial.exhausted_drift_ms": drifting_trial,
               "circuit.gate_n8_ms": lambda: timed(lambda: build_dilation(duality_gate_of(*blocks[8]))),
               "circuit.gate_n10_ms": lambda: timed(lambda: build_dilation(duality_gate_of(*blocks[10]))),
@@ -220,8 +246,10 @@ def measure(repeats: int) -> dict:
               "search.experiment_n20_ms": lambda: search_experiment(20),
               "recovery.exact_search_n11_ms": lambda: timed(lambda: recovery_of(search_circuit11)),
               "format.matrix_256_ms": lambda: timed(lambda: format_matrix_text(matrix256))}
-    return {name: value / (1e6 if name.endswith("_ms") else 1e3)
-            for name, value in medians(repeats, layers).items()}
+    values = {name: value / (1e6 if name.endswith("_ms") else 1e3)
+              for name, value in medians(repeats, layers).items()}
+    values["trial.exhausted_drift_peak_mb"] = statistics.median(drift_peaks_mb)
+    return values
 
 
 def git(src: Path, *argv: str) -> str | None:
@@ -247,7 +275,7 @@ def main() -> int:
     import numpy as np
 
     record = {
-        "layers": measure(args.repeats),
+        "layers": measure(src, args.repeats),
         "repeats": args.repeats,
         "environment": {
             "nproc": os.cpu_count(),
