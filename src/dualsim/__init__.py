@@ -93,6 +93,6 @@ from .circuit import (
     run_circuit,
     serialize_circuit,
 )
-from .rand import random_state, random_unitary, trial_rng, trial_rngs
+from .rand import random_state, random_unitary, trial_rng
 
 __version__ = "0.1.0"

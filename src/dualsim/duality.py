@@ -38,9 +38,6 @@ from .statevec import (
 WEIGHT_SUM_TOL = 1e-12
 #: Below this norm a measurement branch cannot be normalized.
 DEGENERATE_BRANCH_TOL = 1e-14
-#: Largest array of branch draws ``Readout.measure_until_hit`` takes at once.
-_MAX_DRAW_CHUNK = 1 << 16
-_PCG64_PERIOD = 1 << 128
 #: Largest explicit N×N complex matrix a structured slit builds: 64 MiB, N = 2**11.
 MAX_DENSE_BYTES = 1 << 26
 
@@ -437,11 +434,10 @@ class Readout:
     ``p_hit`` picks the branch, and a Hit takes one more for the sampled
     index.  Each branch (the normalized state and, for a Hit, the Born
     cumulative sum) is built on first use and kept, so a loop that keeps
-    measuring the same state pays one draw per measurement, and
-    ``measure_until_hit`` draws a run of them as one array.  ``miss`` and
-    ``hit_indices`` give the branches to callers that draw the branch
-    themselves.  A degenerate branch raises ``DegenerateBranchError`` every
-    time it is drawn.
+    measuring the same state pays one draw per measurement.  ``sample_hit``,
+    ``miss`` and ``hit_indices`` give the branches to callers that draw the
+    branch themselves.  A degenerate branch raises ``DegenerateBranchError``
+    every time it is drawn.
     """
 
     __slots__ = ("p_hit", "_full", "_num_work", "_block", "_hit", "_miss")
@@ -458,33 +454,7 @@ class Readout:
         self._miss: Miss | None = None
 
     def measure(self, rng) -> MeasurementOutcome:
-        return self._sample_hit(rng) if rng.random() < self.p_hit else self.miss()
-
-    def measure_until_hit(self, rng: np.random.Generator,
-                          limit: int) -> tuple[int, MeasurementOutcome]:
-        """``measure`` up to ``limit`` times, stopping at the first Hit:
-        (measurements made, last outcome).
-
-        For a ``rewinds_draws`` generator whose last ``measure`` here was a
-        Miss (so the miss branch is built).  The branch draws come as
-        ``rng.random(k)`` arrays, k = 2 / p_hit (86% of runs need one array)
-        up to 2**16, and the draws past the Hit are rewound with
-        ``bit_generator.advance``: the same doubles, in the same order, and
-        the same final generator state as the scalar ``measure`` calls.
-        """
-        p = self.p_hit
-        chunk = _MAX_DRAW_CHUNK if p * _MAX_DRAW_CHUNK <= 2.0 else math.ceil(2.0 / p)
-        done = 0
-        while done < limit:
-            k = min(chunk, limit - done)
-            hits = (rng.random(k) < p).nonzero()[0]
-            if hits.size:
-                used = int(hits[0]) + 1
-                if used < k:
-                    rng.bit_generator.advance(_PCG64_PERIOD - (k - used))
-                return done + used, self._sample_hit(rng)
-            done += k
-        return limit, self.miss()
+        return self.sample_hit(rng) if rng.random() < self.p_hit else self.miss()
 
     def hit_indices(self, draws):
         """The Born samples of Hits whose index draws are ``draws`` (an array
@@ -502,7 +472,9 @@ class Readout:
             self._hit = (_fresh_state(self._num_work, work), np.cumsum(np.abs(work) ** 2))
         return self._hit
 
-    def _sample_hit(self, rng) -> Hit:
+    def sample_hit(self, rng) -> Hit:
+        """The Hit of a measurement whose branch draw selected it: one more
+        ``rng.random()`` draws the sampled index."""
         post_state = self._hit_branch()[0]
         return Hit(post_state, int(self.hit_indices(rng.random())))
 
@@ -518,12 +490,3 @@ class Readout:
             self._miss = Miss(_fresh_state(self._full.num_qubits, rest))
         return self._miss
 
-
-def rewinds_draws(rng) -> bool:
-    """Whether ``Readout.measure_until_hit`` can draw from ``rng``: a
-    ``Generator`` on a PCG64 bit generator, whose ``advance`` steps back by
-    wrapping around the 2**128 period, holding no buffered 32-bit half-word
-    (``advance`` would drop it)."""
-    return (isinstance(rng, np.random.Generator)
-            and isinstance(rng.bit_generator, (np.random.PCG64, np.random.PCG64DXSM))
-            and not rng.bit_generator.state["has_uint32"])

@@ -1,5 +1,6 @@
-"""Seeded randomness utilities: derived per-trial streams, PCG64 draws for
-many streams at once in uint64 limb arithmetic, and random objects."""
+"""Seeded randomness utilities: derived per-trial streams, their PCG64 states
+and draws for many streams at once in uint64 limb arithmetic, and random
+objects."""
 from __future__ import annotations
 
 import functools
@@ -181,26 +182,16 @@ def _reseeded(rng: np.random.Generator, lanes) -> Iterator[np.random.Generator]:
         yield rng
 
 
-def trial_rngs(master_seed: int, indices: range) -> Iterator[np.random.Generator]:
-    """The generators of ``trial_rng(master_seed, i)`` for i in ``indices``.
-
-    One Generator is yielded again and again, each time reseeded for the next
-    index, so a trial must be done with it before the next one starts.
-    """
-    rng = np.random.Generator(np.random.PCG64(0))
-    for block in _pcg64_states(master_seed, indices):
-        yield from _reseeded(rng, block)
-
-
 def trial_rng(master_seed: int, index: int) -> np.random.Generator:
-    """Independent generator for trial ``index`` derived from (master_seed, index).
+    """Independent generator for trial ``index`` derived from (master_seed, index):
+    ``default_rng(SeedSequence(master_seed, spawn_key=(index,)))``.
 
-    Bit-exact to ``default_rng(SeedSequence(master_seed, spawn_key=(index,)))``:
-    distinct indices give statistically independent streams, and every
+    Distinct indices give statistically independent streams, and every
     (seed, index) pair is reproducible, so trials can run in any order or in
-    parallel with identical results.
+    parallel with identical results.  ``_pcg64_states`` computes the same
+    PCG64 states a block of indices at a time.
     """
-    return next(trial_rngs(master_seed, range(index, index + 1)))
+    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))
 
 
 def random_state(num_qubits: int, rng: np.random.Generator) -> StateVector:

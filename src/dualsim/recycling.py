@@ -1,8 +1,9 @@
 """Recycling execution loop: run the dilation, conditionally measure, and on
 a miss restore an input state and go again, until a hit or the cycle budget
 runs out.  ``run_recycling`` runs one trial; ``run_trials`` runs the seeded
-trials of an experiment on one depth-indexed chain of readouts, drawing
-blocks of trials in lockstep from a numpy PCG64.
+trials of an experiment on one depth-indexed chain of readouts, in lockstep
+blocks of numpy PCG64s, and each trial on its own in rows of draws against
+the chain's hit probabilities (``_Chain.walk``).
 
 Recovery strategies: ``ExactUnitary`` applies a detected unitary that maps
 the normalized miss state back onto the input (exists iff the miss-branch
@@ -31,7 +32,6 @@ from .duality import (
     Readout,
     apply_duality_gate,
     dense_operator_buffer,
-    rewinds_draws,
 )
 from . import rand
 from .statevec import (
@@ -54,6 +54,8 @@ LINK_OBJECT_BYTES = 2048
 _MIN_LANES = 32
 _DRAW_WINDOW = 128
 _STEP_ELEMENTS = 1 << 12
+#: Largest row of branch draws ``_Chain.walk`` takes at once.
+_MAX_DRAW_ROW = 1 << 16
 
 
 class InfiniteExpectationError(ValueError):
@@ -210,48 +212,57 @@ class _Chain:
     strategy's next work state and its readout, the same in every trial.
 
     A depth is built when a trial first reaches it and kept while the chain
-    holds at most ``max_links`` depths past the input.  A next state with
-    the bits of the one before it (the same object, or equal bytes, so -0.0
-    and 0.0 differ) is a fixed point: every deeper cycle measures that
-    readout again.
+    holds at most ``max_links`` depths past the input; ``p_hit`` holds the
+    kept depths' hit probabilities.  A next state with the bits of the one
+    before it (the same object, or equal bytes, so -0.0 and 0.0 differ) is a
+    fixed point, wherever it is found: ``fixed`` is then (depth, pair), and
+    every cycle from that depth on measures that pair's readout.
     """
 
-    __slots__ = ("circuit", "strategy", "max_links", "states", "readouts", "fixed")
+    __slots__ = ("circuit", "strategy", "max_links", "states", "readouts", "p_hit", "fixed")
 
     def __init__(self, input_state: StateVector, circuit: DilationCircuit,
                  strategy: RecoveryStrategy, max_links: int):
         self.circuit, self.strategy, self.max_links = circuit, strategy, max_links
         self.states, self.readouts = [input_state], [circuit.readout(input_state)]
-        self.fixed: int | None = None
+        self.p_hit = np.array([self.readouts[0].p_hit])
+        self.fixed: tuple[int, tuple[StateVector, Readout]] | None = None
 
     def room(self, depth: int) -> float:
-        """Depths from ``depth`` on that the chain keeps or will keep."""
-        return math.inf if self.fixed is not None else self.max_links + 1 - depth
+        """Depths from ``depth`` on that the chain keeps or will keep, with no
+        gap between the kept depths and a fixed point."""
+        if self.fixed is not None and self.fixed[0] <= len(self.readouts):
+            return math.inf
+        return self.max_links + 1 - depth
 
     def at(self, depth: int, pair: tuple[StateVector, Readout] | None = None
            ) -> tuple[StateVector, Readout]:
         """The pair measured at ``depth``, for a trial that missed on ``pair``
         at depth - 1 (needed only past the kept depths)."""
-        if self.fixed is not None:
-            depth = min(depth, self.fixed)
-        if depth < len(self.readouts):
+        if self.fixed is not None and depth >= self.fixed[0]:
+            return self.fixed[1]
+        kept = len(self.readouts)
+        if depth < kept:
             return self.states[depth], self.readouts[depth]
-        if depth > len(self.readouts):
-            return self._after_miss(*pair)
-        nxt = self._after_miss(self.states[-1], self.readouts[-1])
-        if nxt[1] is self.readouts[-1]:
-            self.fixed = depth - 1
-        elif depth <= self.max_links:
+        pair = pair if depth > kept else (self.states[-1], self.readouts[-1])
+        nxt = self._after_miss(*pair)
+        if nxt[1] is pair[1]:
+            self.fixed = depth - 1, pair
+        elif depth == kept <= self.max_links:
             self.states.append(nxt[0])
             self.readouts.append(nxt[1])
+            if kept == self.p_hit.size:
+                self.p_hit = np.resize(self.p_hit, 2 * kept)
+            self.p_hit[kept] = nxt[1].p_hit
         return nxt
 
     def hit_probabilities(self, depth: int, count: int) -> np.ndarray:
-        """p_hit of the kept depths from ``depth`` on, at most ``count``."""
-        row = [r.p_hit for r in self.readouts[depth:depth + count]]
-        if self.fixed is not None:
-            row += [self.readouts[self.fixed].p_hit] * (count - len(row))
-        return np.array(row)
+        """p_hit of the depths from ``depth`` on, at most ``count`` and at
+        most ``room(depth)``: the kept ones, then the fixed point's."""
+        row = self.p_hit[depth:min(depth + count, len(self.readouts))]
+        if self.fixed is not None and row.size < count:
+            row = np.concatenate((row, np.full(count - row.size, self.fixed[1][1].p_hit)))
+        return row
 
     def _after_miss(self, state: StateVector, readout: Readout) -> tuple[StateVector, Readout]:
         miss = readout.miss()
@@ -264,24 +275,60 @@ class _Chain:
             return state, readout
         return nxt, self.circuit.readout(nxt)
 
+    def _row(self, depth: int, max_cycles: int) -> tuple[float | np.ndarray, int]:
+        """(p, k): the p_hit of the next k depths from ``depth`` whose miss
+        branch is built, within the budget: those from the fixed point on (p
+        one float) or the kept depths but the last (p an array); k = 1
+        elsewhere.  k is ceil(2 / p_hit at ``depth``), which covers 86% of
+        the runs of misses at one p_hit, and at most ``_MAX_DRAW_ROW``."""
+        if self.fixed is not None and depth >= self.fixed[0]:
+            p = first = self.fixed[1][1].p_hit
+            end = max_cycles
+        elif depth < len(self.readouts) - 1:
+            p, first, end = self.p_hit, self.p_hit[depth], min(max_cycles, len(self.readouts) - 1)
+        else:
+            return 0.0, 1
+        k = min(end - depth, _MAX_DRAW_ROW if first * _MAX_DRAW_ROW <= 2.0 else math.ceil(2.0 / first))
+        return (p[depth:depth + k] if p is self.p_hit else p), k
+
     def walk(self, rng, depth: int, max_cycles: int,
-             chunked: bool) -> tuple[MeasurementOutcome, int]:
+             rewinds: bool) -> tuple[MeasurementOutcome, int]:
         """(final outcome, cycles) of a trial that has missed ``depth`` times,
-        going on with ``rng``; ``chunked`` when it passes ``rewinds_draws``.
-        A cycle that measures the readout the cycle before missed on draws
-        the rest of the trial with ``Readout.measure_until_hit``."""
-        pair, missed = self.at(depth), None
+        going on with ``rng``; ``rewinds`` when it passes ``rewinds_draws``.
+
+        With ``rewinds``, a row of k > 1 depths (``_row``) is one
+        ``rng.random(k)`` whose first draw below its depth's p_hit is the Hit,
+        and ``bit_generator.advance`` steps back over the draws after it.  Any
+        other step is one ``Readout.measure``.  Either way the trial draws the
+        same doubles, and leaves ``rng`` in the same state, as one ``measure``
+        per cycle."""
+        pair = self.at(depth)
         while True:
-            readout = pair[1]
-            if chunked and readout is missed:
-                used, outcome = readout.measure_until_hit(rng, max_cycles - depth)
+            p, k = self._row(depth, max_cycles) if rewinds else (0.0, 1)
+            if k > 1:
+                below = (rng.random(k) < p).nonzero()[0]
+                used = int(below[0]) + 1 if below.size else k
+                if used < k:
+                    rng.bit_generator.advance((used - k) % (1 << 128))  # back k - used draws
+                depth += used - 1
+                pair = self.at(depth)
+                outcome = pair[1].sample_hit(rng) if below.size else pair[1].miss()
             else:
-                used, outcome = 1, readout.measure(rng)
-            depth += used
+                outcome = pair[1].measure(rng)
+            depth += 1
             if isinstance(outcome, Hit) or depth >= max_cycles:
                 return outcome, depth
-            missed = readout
             pair = self.at(depth, pair)
+
+
+def rewinds_draws(rng) -> bool:
+    """Whether ``_Chain.walk`` can draw rows from ``rng``: a ``Generator`` on
+    a PCG64 bit generator, whose ``advance`` steps back by wrapping around
+    the 2**128 period, holding no buffered 32-bit half-word (``advance``
+    would drop it)."""
+    return (isinstance(rng, np.random.Generator)
+            and isinstance(rng.bit_generator, (np.random.PCG64, np.random.PCG64DXSM))
+            and not rng.bit_generator.state["has_uint32"])
 
 
 def _in_lockstep(chain: _Chain, lanes: int, depth: int, max_cycles: int) -> bool:
@@ -331,11 +378,11 @@ def _lockstep(chain: _Chain, lanes: np.ndarray, lane_state: tuple[np.ndarray, ..
         cycles[done] = depth + at + 1
         index_draws = draws[rows, at + 1]
         # one searchsorted per readout: the depths from a fixed point on share one
-        kept = depth + at if chain.fixed is None else np.minimum(depth + at, chain.fixed)
+        kept = depth + at if chain.fixed is None else np.minimum(depth + at, chain.fixed[0])
         base = int(kept.min())
         for d in (np.flatnonzero(np.bincount(kept - base)) + base).tolist():
             mine = kept == d
-            hit_index[done[mine]] = chain.readouts[d].hit_indices(index_draws[mine])
+            hit_index[done[mine]] = chain.at(d)[1].hit_indices(index_draws[mine])
     going = ~hit
     depth += k
     if depth == max_cycles and going.any():
@@ -362,15 +409,14 @@ def run_recycling(input_state: StateVector, circuit: DilationCircuit,
     norm raises ``ValueError`` before any draw: the first cycle's
     ``run_dilation`` checks it.
 
-    The trial dilates its input once and each new work state once; it keeps
-    none of them past the cycle after, since one trial never returns to a
-    readout it has left.  A cycle whose readout is the one the cycle before
-    missed on (every cycle under Reset after the first, and a unitary
-    recovery at a bit-exact fixed point) repeats the same measurement, so
-    with a PCG64 ``Generator`` the run of such cycles is drawn in chunks by
-    ``Readout.measure_until_hit``.  Any other ``rng`` (only ``.random()`` is
-    needed) draws one cycle at a time.  Either way the cycles use the same
-    doubles in the same order, and leave ``rng`` in the same state, as
+    The trial dilates its input once and each new work state once, and past
+    the input keeps only a fixed point: one trial never returns to a readout
+    it has left.  From a fixed point on (every cycle under Reset after the
+    first, and a unitary recovery at a bit-exact fixed point) the trial
+    repeats one measurement, so with a ``rewinds_draws`` generator it draws
+    them in rows (``_Chain.walk``).  Any other ``rng`` (only ``.random()``
+    is needed) draws one cycle at a time.  Either way the cycles use the
+    same doubles in the same order, and leave ``rng`` in the same state, as
     running the dilation and ``conditional_measure`` every cycle.
     """
     max_cycles = _checked_budget(input_state, circuit, strategy, max_cycles)
@@ -394,9 +440,9 @@ def run_trials(input_state: StateVector, circuit: DilationCircuit, strategy: Rec
     branch draws for depths d .. d + K - 1 and the index draw after a Hit,
     with K = ceil(2 / p_hit) at most.  The lanes of a block leave lockstep
     together (``_in_lockstep``) and finish one at a time on a PCG64
-    ``Generator``, through ``_Chain.walk`` as ``run_recycling`` does.  Each
-    trial gives the same cycles and hit index as ``run_recycling`` on its
-    ``trial_rng``.
+    ``Generator``, through ``_Chain.walk`` as ``run_recycling`` does, in
+    rows over the kept depths.  Each trial gives the same cycles and hit
+    index as ``run_recycling`` on its ``trial_rng``.
     """
     max_cycles = _checked_budget(input_state, circuit, strategy, max_cycles)
     chain = _Chain(input_state, circuit, strategy, _max_links(circuit.gate.dim))

@@ -1,19 +1,20 @@
 """Per-trial seeding and the lockstep PCG64 against numpy's own.
 
-``trial_rngs`` and ``trial_rng`` compute the PCG64 state of
-``SeedSequence(seed, spawn_key=(index,))`` themselves, a block of indices at
-a time, and ``rand._pcg64_random`` draws ``Generator.random`` doubles for
-many PCG64 states at once in uint64 limb arithmetic.  These tests compare
-them with numpy directly, so a numpy release that changed SeedSequence,
-PCG64 seeding or its doubles fails here instead of silently changing seeded
-outputs.
+``trial_rng`` is numpy's ``default_rng(SeedSequence(seed,
+spawn_key=(index,)))``.  ``rand._pcg64_states`` computes the PCG64 states of
+those generators itself, a block of indices at a time, and
+``rand._pcg64_random`` draws ``Generator.random`` doubles for many PCG64
+states at once in uint64 limb arithmetic.  These tests compare them with
+numpy directly, so a numpy release that changed SeedSequence, PCG64 seeding
+or its doubles fails here instead of silently changing seeded outputs.
 """
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dualsim import rand, trial_rng, trial_rngs
+from dualsim import (Reset, SearchProblem, basis_state, build_dilation, rand, run_trials,
+                     search_gate, trial_rng)
 
 # one- to five-word seeds: SeedSequence pads seeds shorter than its 4-word
 # pool and mixes longer ones in after it
@@ -24,43 +25,26 @@ def numpy_rng(seed, index):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
-def assert_same_stream(rng, ref):
+@given(seed=st.one_of(st.integers(0, 2**64 - 1), st.sampled_from(WIDE_SEEDS)),
+       index=st.integers(0, 2**70))
+def test_trial_streams_match_numpy_seed_sequence(seed, index):
+    rng, ref = trial_rng(seed, index), numpy_rng(seed, index)
     assert rng.bit_generator.state == ref.bit_generator.state
     assert rng.random(4).tolist() == ref.random(4).tolist()
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.one_of(st.integers(0, 2**64 - 1), st.sampled_from(WIDE_SEEDS)),
-       start=st.integers(0, 2**40), count=st.integers(1, 300))
-@example(seed=0, start=0, count=300)
-@example(seed=2**64 - 1, start=2**32 - 150, count=300)  # one- and two-word keys in a block
-@example(seed=5, start=2**64 - 2, count=4)  # three-word keys
-def test_trial_streams_match_numpy_seed_sequence(seed, start, count):
-    indices = range(start, start + count)
-    for index, rng in zip(indices, trial_rngs(seed, indices)):
-        assert_same_stream(rng, numpy_rng(seed, index))
-    assert_same_stream(trial_rng(seed, start), numpy_rng(seed, start))
-
-
-def test_trial_rngs_reseeds_one_generator_lazily():
-    # a huge range costs nothing until drawn: states are made a block at a time
-    rngs = trial_rngs(11, range(2**40))
-    first = next(rngs)
-    assert_same_stream(first, numpy_rng(11, 0))
-    second = next(rngs)
-    assert second is first
-    assert_same_stream(second, numpy_rng(11, 1))
-
-
 def test_negative_seed_or_index_is_rejected():
+    # by numpy for trial_rng, and by run_trials before any trial runs
+    state = basis_state(2, 0)
+    circuit = build_dilation(search_gate(SearchProblem(2, frozenset({1}))))
     with pytest.raises(ValueError):
         trial_rng(-1, 0)
     with pytest.raises(ValueError):
-        next(trial_rngs(-1, range(3)))
-    with pytest.raises(ValueError):
         trial_rng(0, -1)
     with pytest.raises(ValueError):
-        next(trial_rngs(0, range(-2, 2)))
+        run_trials(state, circuit, Reset(state), 8, -1, range(3))
+    with pytest.raises(ValueError):
+        run_trials(state, circuit, Reset(state), 8, 0, range(-2, 2))
 
 
 M64 = (1 << 64) - 1
@@ -94,7 +78,11 @@ def test_limb_pcg64_matches_numpy_generator(lanes, k):
 
 
 @settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 2**64 - 1), start=st.integers(0, 2**40), count=st.integers(1, 1500))
+@given(seed=st.one_of(st.integers(0, 2**64 - 1), st.sampled_from(WIDE_SEEDS)),
+       start=st.integers(0, 2**40), count=st.integers(1, 1500))
+@example(seed=0, start=0, count=300)
+@example(seed=2**64 - 1, start=2**32 - 150, count=300)  # one- and two-word keys in a block
+@example(seed=5, start=2**64 - 2, count=4)  # three-word keys
 def test_limb_states_are_the_trial_streams(seed, start, count):
     # the limb arrays of _pcg64_states, blocks of rand._BLOCK, as numpy's states
     indices = range(start, start + count)

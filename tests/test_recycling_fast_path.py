@@ -5,19 +5,20 @@ of readouts: a trial measures the input's readout, and after each miss the
 readout of the next work state, which ``run_trials`` keeps, indexed by
 depth, for the trials after it, up to a bound on the depths one chain
 keeps.  ``run_trials`` draws blocks of trials in lockstep from a numpy
-PCG64 and finishes the last lanes of a block one at a time.  A run of
-repeated measurements of one readout is drawn in chunks when the generator
-is a rewindable PCG64 ``Generator``.  The reference runs the dilation and
-``conditional_measure`` on every cycle, one scalar draw at a time.  Under
-Reset (also from a different input), ExactUnitary and Custom recovery, on a
-gate that never hits, across the chain's bound, at a bit-exact fixed point,
-and with generators that take the chunked or the scalar path, the two must
-give the same cycle count, outcome and post-state bytes, leave the
-generator in the same state, and raise ``DegenerateBranchError`` at the
-same draw; ``run_trials`` must give each trial the cycles and hit index of
-the reference on ``trial_rng(seed, t)``, on either side of the lockstep
-limits, and raise the reference's ``DegenerateBranchError``.  A bad input
-is refused before the first draw.
+PCG64 and finishes the last lanes of a block one at a time.  A trial on its
+own draws rows of branch draws, over the chain's kept depths or from a
+fixed point on, when the generator is a rewindable PCG64 ``Generator``.
+The reference runs the dilation and ``conditional_measure`` on every cycle,
+one scalar draw at a time.  Under Reset (also from a different input),
+ExactUnitary and Custom recovery, on a gate that never hits, on a drifting
+chain below the lockstep rate, across the chain's bound, at a bit-exact
+fixed point (also one past the kept depths), and with generators that draw
+rows or one double at a time, the two must give the same cycle count,
+outcome and post-state bytes, leave the generator in the same state, and
+raise ``DegenerateBranchError`` at the same draw; ``run_trials`` must give
+each trial the cycles and hit index of the reference on ``trial_rng(seed,
+t)``, on either side of the lockstep limits, and raise the reference's
+``DegenerateBranchError``.  A bad input is refused before the first draw.
 """
 import gc
 import itertools
@@ -25,6 +26,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -40,7 +42,6 @@ from dualsim import (
     DualityGate,
     ExactUnitary,
     Hit,
-    Readout,
     Reset,
     SearchProblem,
     StateVector,
@@ -211,7 +212,7 @@ def rng_state(rng):
 def test_other_generators_match_reference(kind, num_qubits, marked, run_seed, max_cycles):
     # FixedRandom has only .random(), MT19937 has no advance, and a buffered
     # half-word would be dropped by advance: these draw one cycle at a time.
-    # PCG64DXSM rewinds like PCG64 and draws in chunks.
+    # PCG64DXSM rewinds like PCG64 and draws in rows.
     gate = search_gate(SearchProblem(num_qubits, frozenset({marked})))
     circuit = build_dilation(gate)
     state = uniform_state(num_qubits)
@@ -331,30 +332,43 @@ def test_run_trials_matches_reference(kind, trials, num_qubits, search_qubits, l
         assert_same_trials(state, circuit, strategy, max_cycles, run_seed, trials)
 
 
+class RowRecordingGenerator(np.random.Generator):
+    """A Generator that appends the size of each ``random(size)`` call, a row
+    of draws, to ``rows``."""
+
+    def __init__(self, rng, rows):
+        super().__init__(type(rng.bit_generator)())
+        self.bit_generator.state = rng.bit_generator.state
+        self.rows = rows
+
+    def random(self, size=None, *args, **kwargs):
+        if size is not None:
+            self.rows.append(size)
+        return super().random(size, *args, **kwargs)
+
+
 def test_fixed_point_recovery_draws_in_chunks(monkeypatch):
     # p0 = p1, U1 = e^{2.5i} U0 from |0>: P0 = 0.099, and the recovered state
     # is bit for bit the one before it from the third cycle on, so that
-    # readout links to itself and the rest of the trial is drawn in chunks
+    # readout links to itself and the rest of the trial is drawn in rows
     gate = DualityGate(np.array([0.5, 0.5]), (I2, np.exp(2.5j) * I2))
     circuit = build_dilation(gate)
     state = basis_state(1, 0)
     strategy = ExactUnitary(exact_recovery(circuit))
-    chunked = []
-    real = Readout.measure_until_hit
-
-    def counting(self, rng, limit):
-        chunked.append(limit)
-        return real(self, rng, limit)
-
-    monkeypatch.setattr(Readout, "measure_until_hit", counting)
+    rows = []
     for t in range(12):
-        assert_same_run(state, circuit, strategy, 300, lambda: trial_rng(21, t))
-    assert len(chunked) >= 5
-    # one run_trials call: the chain is two readouts, the second linking to itself
-    chunked.clear()
+        assert_same_run(state, circuit, strategy, 300,
+                        lambda: RowRecordingGenerator(trial_rng(21, t), rows))
+    assert len(rows) >= 5
+    # one run_trials call: the chain is two readouts, the second linking to
+    # itself; its 12 trials (fewer than a lockstep block) finish one at a time
+    rows.clear()
+    reseeded = rand._reseeded
+    monkeypatch.setattr(rand, "_reseeded", lambda rng, lanes: (
+        RowRecordingGenerator(lane, rows) for lane in reseeded(rng, lanes)))
     calls = count_dilations(monkeypatch)
     assert_same_trials(state, circuit, strategy, 300, 21, 12)
-    assert len(chunked) >= 5 and len(calls) == 2
+    assert len(rows) >= 5 and len(calls) == 2
 
 
 @settings(max_examples=30, deadline=None)
@@ -395,6 +409,48 @@ def test_drifting_exhausted_run_keeps_no_link_past_the_bound(monkeypatch):
     # the input and 25 linked states once, the 174 states past the bound per trial
     assert len(calls) == 1 + 25 + 3 * 174
     assert run_recycling(state, circuit, strategy, 200, rng=trial_rng(5, 0)).exhausted
+
+
+def test_drifting_chain_below_the_lockstep_rate_draws_rows():
+    # P0 = 0 with Custom(e^{0.3i} I): a new state every cycle, each kept by
+    # the chain, and no trial enters lockstep (P0 < 1/128); every trial after
+    # the first walks the kept depths in rows, about a second in all, where
+    # one draw per kept cycle takes about a minute
+    circuit = build_dilation(DualityGate(np.array([0.5, 0.5]), (I2, -I2)))
+    start = time.perf_counter()
+    cycles, hit_index = run_trials(basis_state(1, 0), circuit, Custom(np.exp(0.3j) * I2), 10**4,
+                                   7, range(4000))
+    assert time.perf_counter() - start < 10.0
+    assert (cycles == 10**4).all() and (hit_index == -1).all()
+
+
+def test_drifting_chain_below_the_lockstep_rate_matches_reference():
+    # slits I and diag(e^{i(pi - 0.1)}, e^{i(pi - 0.15)}): p_hit 0.0025 on |0>
+    # and 0.0056 on |1>, so a random Custom recovery drifts between them,
+    # below 1/128 at every depth, and most trials hit within the budget
+    rng = np.random.default_rng(3)
+    gate = DualityGate(np.array([0.5, 0.5]),
+                       (I2, np.diag(np.exp(1j * (np.pi - np.array([0.1, 0.15]))))))
+    circuit = build_dilation(gate)
+    strategy = Custom(random_unitary(2, rng))
+    cycles = assert_same_trials(random_state(1, rng), circuit, strategy, 600, 13, 40)
+    assert 0 < (cycles < 600).sum() < 40
+
+
+def test_fixed_point_past_the_kept_depths_matches_reference(monkeypatch):
+    # slits I and diag(-1, i, 1, 1) with Custom(swap of e1 and e2) from
+    # (e0 + e1)/sqrt(2): p_hit 1/4, then 1/3, then ~0 on a state that turns
+    # bit for bit fixed at depth 42.  The chain keeps only the input, so a
+    # trial of the first 64-trial block finds that fixed point past a gap of
+    # unkept depths; the second block's lockstep must stop at the gap and
+    # not take depth 1 (p_hit 1/3) for the fixed point (p_hit 0)
+    monkeypatch.setattr(rand, "_BLOCK", 64)
+    monkeypatch.setattr(recycling, "MAX_DENSE_BYTES", 1)
+    gate = DualityGate(np.array([0.5, 0.5]), (np.eye(4), np.diag([-1, 1j, 1, 1])))
+    state = StateVector(2, np.array([1, 1, 0, 0]) / np.sqrt(2))
+    cycles = assert_same_trials(state, build_dilation(gate), Custom(np.eye(4)[[0, 2, 1, 3]]), 50,
+                                5, 100)
+    assert (cycles == 2).any() and (cycles == 50).any()
 
 
 @settings(max_examples=20, deadline=None)

@@ -6,20 +6,19 @@ dilation, large searches, exact recovery and the matrix text format, in process.
 Imports ``dualsim`` from ``--src`` (default: this checkout's ``src``) and
 times each layer with ``time.perf_counter_ns``; a layer's value is the
 median over ``--repeats`` rounds that each time every layer once.  It runs
-on checkouts from 170be87 on; where ``run_trials`` is missing, the layers
-that use it run the ``run_recycling`` loop over ``trial_rngs`` instead, and
-``exact_recovery`` takes the gate instead of its circuit.  Layers:
+on checkouts from bc44509 on, which have ``run_trials``.  Layers:
 
   seeding.trial_rng_us       one ``trial_rng(seed, t)`` call, over 2000 indices
-  seeding.trial_rngs_us      one trial's generator from ``trial_rngs``, over 2000
+  seeding.pcg64_states_us    one trial's PCG64 state from ``rand._pcg64_states``,
+                             over 2000 indices
   cycle.reset_scalar_us      one Reset cycle drawn one at a time: search gate
                              n = 4 with one marked index (P0 = 1/16), an rng
                              object with only ``.random()``, time per cycle
                              over 2000 ``run_recycling`` trials; each trial
-                             dilates its input once (checkouts up to 065c604
-                             kept the input's readout on the circuit instead)
+                             dilates its input once
   cycle.reset_chunked_us     the same over one ``run_trials`` call of 2000
-                             trials, seeding included, which draws in chunks
+                             trials, seeding included, which draws in lockstep
+                             and in rows
   cycle.exact_us             one ExactUnitary cycle: phase-slit gate, input
                              |0>, time per cycle over one ``run_trials`` call
                              of 2000 trials, seeding included, on a circuit
@@ -35,6 +34,9 @@ that use it run the ``run_recycling`` loop over ``trial_rngs`` instead, and
                              it in a new process, whose teardown would
                              otherwise slow the layers after it
   trial.exhausted_drift_peak_mb  that process's peak RSS (Linux VmHWM)
+  trial.drift_wide_ms        40 such trials of 10**4 cycles in one
+                             ``run_trials`` call (P0 = 0 keeps every trial out
+                             of lockstep), on a circuit built for the round
   circuit.gate_n8_ms         ``duality_gate_of`` + ``build_dilation`` of a
   circuit.gate_n10_ms        two-slit block of 12 h/t/cx lines per slit (the
                              ``circuit_dense`` kind of block) at n = 8 and 10
@@ -136,27 +138,17 @@ print(json.dumps({"ns": elapsed, "peak_kb": peak_kb}))
 def measure(src: Path, repeats: int) -> dict:
     import numpy as np
 
-    from dualsim import (DualityGate, ExactUnitary, Reset, SearchProblem, basis_state,
-                         build_dilation, exact_recovery, format_matrix_text, parse_circuit,
-                         recycling, run_dilation, run_recycling, run_search_experiment, search,
-                         search_gate, trial_rng, trial_rngs, uniform_state)
+    from dualsim import (Custom, DualityGate, ExactUnitary, Reset, SearchProblem, basis_state,
+                         build_dilation, exact_recovery, format_matrix_text, parse_circuit, rand,
+                         run_dilation, run_recycling, run_search_experiment, run_trials,
+                         search_gate, trial_rng, uniform_state)
     from dualsim.circuit import duality_gate_of
-
-    run_trials = getattr(recycling, "run_trials", None)
-
-    def recovery_of(circuit):
-        return exact_recovery(circuit if run_trials is not None else circuit.gate)
 
     def trials_cycles(input_state, circuit, strategy, max_cycles, trials=TRIALS):
         """(elapsed ns, cycles) of the seeded trials 0..trials-1, seeding included."""
         start = time.perf_counter_ns()
-        if run_trials is not None:
-            cycles = int(run_trials(input_state, circuit, strategy, max_cycles, SEED,
-                                    range(trials))[0].sum())
-        else:
-            cycles = sum(run_recycling(input_state, circuit, strategy, max_cycles,
-                                       rng=rng).cycles_used
-                         for rng in trial_rngs(SEED, range(trials)))
+        cycles = int(run_trials(input_state, circuit, strategy, max_cycles, SEED,
+                                range(trials))[0].sum())
         return time.perf_counter_ns() - start, cycles
 
     def seeding_single():
@@ -167,7 +159,7 @@ def measure(src: Path, repeats: int) -> dict:
 
     def seeding_blocked():
         start = time.perf_counter_ns()
-        for _ in trial_rngs(SEED, range(TRIALS)):
+        for _ in rand._pcg64_states(SEED, range(TRIALS)):
             pass
         return time.perf_counter_ns() - start, TRIALS
 
@@ -188,7 +180,9 @@ def measure(src: Path, repeats: int) -> dict:
     eye = np.eye(2, dtype=np.complex128)
     qubit_zero = basis_state(1, 0)
     phase_slit = DualityGate(np.array([0.5, 0.5]), (eye, 1j * eye))
-    exact_strategy = ExactUnitary(recovery_of(build_dilation(phase_slit)))
+    exact_strategy = ExactUnitary(exact_recovery(build_dilation(phase_slit)))
+    never_hit = DualityGate(np.array([0.5, 0.5]), (eye, -eye))
+    drift = Custom(np.exp(0.3j) * eye)
 
     drift_peaks_mb = []
 
@@ -214,24 +208,25 @@ def measure(src: Path, repeats: int) -> dict:
         assert cycles == 256 * 10**4
         return elapsed, 1
 
+    def drift_wide():
+        elapsed, cycles = trials_cycles(qubit_zero, build_dilation(never_hit), drift, 10**4,
+                                        trials=40)
+        assert cycles == 40 * 10**4
+        return elapsed, 1
+
     blocks = {n: (parse_circuit(block_circuit(n)).instructions[0], n) for n in (8, 10)}
     circuit10 = build_dilation(duality_gate_of(*blocks[10]))
     uniform10 = uniform_state(10)
 
-    cache = getattr(search, "_search_dilation", None)  # 170be87's module-level circuit cache
-
     def search_experiment(n):
         problem = SearchProblem(n, frozenset({12345}))
-        elapsed = timed(lambda: run_search_experiment(problem, 0, 10, 1))
-        if cache is not None:
-            cache.cache_clear()  # the n = 20 circuit holds ~100 MB
-        return elapsed
+        return timed(lambda: run_search_experiment(problem, 0, 10, 1))
 
     search_circuit11 = build_dilation(search_gate(SearchProblem(11, frozenset({5}))))
     matrix256 = np.random.default_rng(SEED).standard_normal((256, 512)).view(np.complex128)
 
     layers = {"seeding.trial_rng_us": seeding_single,
-              "seeding.trial_rngs_us": seeding_blocked,
+              "seeding.pcg64_states_us": seeding_blocked,
               "cycle.reset_scalar_us": reset_scalar_cycles,
               "cycle.reset_chunked_us": lambda: trials_cycles(prepared, circuit, strategy, 1024),
               "cycle.exact_us": lambda: trials_cycles(qubit_zero, build_dilation(phase_slit),
@@ -239,12 +234,13 @@ def measure(src: Path, repeats: int) -> dict:
               "trial.exhausted_1e6_ms": exhausted_trial,
               "trial.exhausted_wide_ms": exhausted_wide,
               "trial.exhausted_drift_ms": drifting_trial,
+              "trial.drift_wide_ms": drift_wide,
               "circuit.gate_n8_ms": lambda: timed(lambda: build_dilation(duality_gate_of(*blocks[8]))),
               "circuit.gate_n10_ms": lambda: timed(lambda: build_dilation(duality_gate_of(*blocks[10]))),
               "dilation.run_n10_ms": lambda: timed(lambda: run_dilation(uniform10, circuit10)),
               "search.experiment_n16_ms": lambda: search_experiment(16),
               "search.experiment_n20_ms": lambda: search_experiment(20),
-              "recovery.exact_search_n11_ms": lambda: timed(lambda: recovery_of(search_circuit11)),
+              "recovery.exact_search_n11_ms": lambda: timed(lambda: exact_recovery(search_circuit11)),
               "format.matrix_256_ms": lambda: timed(lambda: format_matrix_text(matrix256))}
     values = {name: value / (1e6 if name.endswith("_ms") else 1e3)
               for name, value in medians(repeats, layers).items()}
