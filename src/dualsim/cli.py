@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: simulate, search, recycle, decompose, curve.  Every output
-file starts with ``# seed=`` and ``# command=`` comment lines, file bodies
-are written in one shot only after a command succeeds (to a temporary file
-that is then renamed into place), and identical invocations produce
+file starts with ``# seed=`` and ``# command=`` comment lines, is written
+to a temporary file beside its target while it is formatted and renamed
+into place only once it is complete, and identical invocations produce
 byte-identical files.  Failures print a single line
 ``error: <Type>: <message>`` on stderr and exit nonzero, leaving no
 partial file and any earlier output untouched.
@@ -14,6 +14,7 @@ files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -38,8 +39,8 @@ from .search import SearchProblem, repetition_curve, run_search_experiment, sear
 from .statevec import basis_state, format_matrix_text, norm, parse_matrix_text, uniform_state
 
 
-#: Amplitude rows ``simulate`` formats and prints at a time.
-_AMPLITUDE_ROWS_PER_WRITE = 1 << 16
+#: CSV rows ``simulate`` and ``search`` format and write at a time.
+_ROWS_PER_WRITE = 1 << 16
 
 
 def _fmt(x) -> str:
@@ -47,14 +48,18 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _comment_header(seed: int, argv: list[str]) -> list[str]:
-    return [f"# seed={seed}", f"# command={' '.join(argv)}"]
+def _comment_header(seed: int, argv: list[str], *lines: str) -> str:
+    """The ``# seed=`` and ``# command=`` lines, then ``lines``, each ending in a newline."""
+    return "".join(f"{ln}\n" for ln in [f"# seed={seed}", f"# command={' '.join(argv)}", *lines])
 
 
-def _write_text(path: str, text: str) -> None:
-    """Write to a temporary file beside ``path``, then rename it over ``path``.
+@contextlib.contextmanager
+def _replacing(path: str):
+    """Yield a text handle on a temporary file beside ``path``; when the block
+    completes, rename that file over ``path``.
 
-    Readers see either the old file or the complete new one; a failed write
+    Readers see either the old file or the complete new one.  An exception
+    anywhere in the block, after a partial write too, or in the rename
     removes the temporary file and leaves ``path`` as it was.
     """
     target = Path(path)
@@ -62,11 +67,17 @@ def _write_text(path: str, text: str) -> None:
     fh = open(tmp, "x", encoding="utf-8")  # exclusive create; mode as for a plain write
     try:
         with fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, target)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _write_text(path: str, text: str) -> None:
+    """Replace ``path`` with ``text`` through ``_replacing``."""
+    with _replacing(path) as fh:
+        fh.write(text)
 
 
 def _seed_value(tok: str) -> int:
@@ -119,11 +130,8 @@ def _initial_state(spec: str, num_qubits: int):
 
 def cmd_curve(args, argv: list[str]) -> int:
     rows = repetition_curve(1 << args.n, args.marked_count, args.jmax)
-    lines = _comment_header(args.seed, argv)
-    lines.append("j,success_prob,repetitions")
-    for j, p, reps in rows:
-        lines.append(f"{j},{_fmt(p)},{_fmt(reps)}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_text(args.out, _comment_header(args.seed, argv, "j,success_prob,repetitions")
+                + "".join(f"{j},{_fmt(p)},{_fmt(reps)}\n" for j, p, reps in rows))
     print(f"wrote {args.out}: {len(rows)} rows (N={1 << args.n}, M={args.marked_count})")
     return 0
 
@@ -132,12 +140,13 @@ def cmd_search(args, argv: list[str]) -> int:
     problem = SearchProblem(args.n, _parse_marked(args.marked))
     stats = run_search_experiment(problem, args.j, args.trials, args.seed,
                                   max_repetitions=args.max_repetitions)
-    lines = _comment_header(args.seed, argv)
-    lines.append("trial,repetitions,hit_index")
-    for t, res in enumerate(stats.trial_results):
-        hit = -1 if res.hit_index is None else res.hit_index
-        lines.append(f"{t},{res.repetitions},{hit}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    results = stats.trial_results
+    with _replacing(args.out) as fh:
+        fh.write(_comment_header(args.seed, argv, "trial,repetitions,hit_index"))
+        for start in range(0, len(results), _ROWS_PER_WRITE):
+            fh.write("".join(
+                f"{t},{res.repetitions},{-1 if res.hit_index is None else res.hit_index}\n"
+                for t, res in enumerate(results[start:start + _ROWS_PER_WRITE], start)))
     print(f"trials={stats.trials} hits={stats.hits} total_repetitions={stats.total_repetitions}")
     print(f"empirical_success_rate={_fmt(stats.empirical_success_rate)}")
     print(f"analytic_success_prob={_fmt(stats.analytic_success_prob)}")
@@ -183,12 +192,9 @@ def cmd_recycle(args, argv: list[str]) -> int:
         expectation = _fmt(expected_cycles(gate, state))
     except InfiniteExpectationError:
         expectation = "inf"
-    lines = _comment_header(args.seed, argv)
-    lines.append("cycles,count")
     hist = Counter(cycles.tolist())
-    for value in sorted(hist):
-        lines.append(f"{value},{hist[value]}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_text(args.out, _comment_header(args.seed, argv, "cycles,count")
+                + "".join(f"{value},{hist[value]}\n" for value in sorted(hist)))
     print(f"trials={args.trials} hits={hits} exhausted={args.trials - hits}")
     print(f"mean_cycles={_fmt(mean_cycles)}")
     print(f"expected_cycles={expectation}")
@@ -198,14 +204,13 @@ def cmd_recycle(args, argv: list[str]) -> int:
 def cmd_decompose(args, argv: list[str]) -> int:
     mat = parse_matrix_text(Path(args.matrix_in).read_text(encoding="utf-8"))
     dec = normal_decompose(mat, tol=args.tol) if args.normal else lcu_decompose(mat)
-    lines = _comment_header(args.seed, argv)
-    lines.append(f"alpha {_fmt(dec.alpha)}")
-    lines.append("weights " + " ".join(_fmt(p) for p in dec.weights))
-    lines.append(f"residual {_fmt(dec.residual)}")
-    for i, u in enumerate(dec.unitaries):
-        lines.append(f"unitary {i}")
-        lines.append(format_matrix_text(u).rstrip("\n"))
-    _write_text(args.out, "\n".join(lines) + "\n")
+    with _replacing(args.out) as fh:
+        fh.write(_comment_header(args.seed, argv, f"alpha {_fmt(dec.alpha)}",
+                                 "weights " + " ".join(_fmt(p) for p in dec.weights),
+                                 f"residual {_fmt(dec.residual)}"))
+        for i, u in enumerate(dec.unitaries):
+            fh.write(f"unitary {i}\n")
+            fh.write(format_matrix_text(u))
     print(f"alpha={_fmt(dec.alpha)} residual={_fmt(dec.residual)} factors={len(dec.unitaries)}")
     return 0
 
@@ -222,17 +227,16 @@ def cmd_simulate(args, argv: list[str]) -> int:
     print(outcome_line)
     print(f"qubits {result.state.num_qubits}")
     print(f"norm {_fmt(norm(result.state))}")
-    lines = _comment_header(args.seed, argv)
-    lines.append(f"# {outcome_line}")
-    lines.append("index,re,im")
     amps = result.state.amplitudes
-    for start in range(0, amps.size, _AMPLITUDE_ROWS_PER_WRITE):
-        chunk = amps[start:start + _AMPLITUDE_ROWS_PER_WRITE].tolist()
-        rows = "\n".join(f"{i},{_fmt(a.real)},{_fmt(a.imag)}" for i, a in enumerate(chunk, start))
-        sys.stdout.write(rows.replace(",", " ") + "\n")  # no number has a comma
-        lines.append(rows)
-    if args.out is not None:
-        _write_text(args.out, "\n".join(lines) + "\n")
+    with (_replacing(args.out) if args.out is not None else contextlib.nullcontext()) as fh:
+        if fh is not None:
+            fh.write(_comment_header(args.seed, argv, f"# {outcome_line}", "index,re,im"))
+        for start in range(0, amps.size, _ROWS_PER_WRITE):
+            chunk = amps[start:start + _ROWS_PER_WRITE].tolist()
+            rows = "".join(f"{i},{_fmt(a.real)},{_fmt(a.imag)}\n" for i, a in enumerate(chunk, start))
+            sys.stdout.write(rows.replace(",", " "))  # no number has a comma
+            if fh is not None:
+                fh.write(rows)
     return 0
 
 

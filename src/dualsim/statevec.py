@@ -274,20 +274,32 @@ def parse_matrix_text(text: str) -> np.ndarray:
     return mat
 
 
+#: Entries ``format_matrix_text`` renders at a time, in whole rows (one row at least).
+_FORMAT_BLOCK_ENTRIES = 1 << 14
+
+
 def format_matrix_text(mat) -> str:
     """Render a matrix in the text format; round-trips exactly through parse.
 
-    Each entry reads as ``format_complex_literal`` writes it.  The reals and
-    the imaginary magnitudes are rendered by one ``repr`` of a float list
-    each, and the imaginary signs (``-0.0`` included) come from ``np.signbit``.
+    Each entry reads as ``format_complex_literal`` writes it.  Whole rows of
+    about ``_FORMAT_BLOCK_ENTRIES`` entries are rendered at a time: the reals
+    and the imaginary magnitudes of a block by one ``repr`` of a float list
+    each, the imaginary signs (``-0.0`` included) from ``np.signbit``.  So
+    besides the text itself the call holds one block's strings, not one
+    string per entry of the whole matrix.
     """
     m = validate_operator(mat)
     dim = m.shape[0]
-    reals = repr(m.real.ravel().tolist())[1:-1].split(", ")
-    imags = repr(np.abs(m.imag).ravel().tolist())[1:-1].split(", ")
-    negative = np.signbit(m.imag).ravel()
-    bare = ((m.imag.ravel() == 0.0) & ~negative).tolist()
-    entries = [re if plain else f"{re}{'-' if neg else '+'}{im}i"
-               for re, im, neg, plain in zip(reals, imags, negative.tolist(), bare)]
-    rows = [" ".join(entries[r * dim:(r + 1) * dim]) for r in range(dim)]
-    return "\n".join([str(dim)] + rows) + "\n"
+    rows_per_block = max(1, _FORMAT_BLOCK_ENTRIES // dim)
+    blocks = [str(dim)]
+    for start in range(0, dim, rows_per_block):
+        block = m[start:start + rows_per_block]
+        reals = repr(block.real.ravel().tolist())[1:-1].split(", ")
+        imags = repr(np.abs(block.imag).ravel().tolist())[1:-1].split(", ")
+        negative = np.signbit(block.imag).ravel()
+        bare = ((block.imag.ravel() == 0.0) & ~negative).tolist()
+        entries = [re if plain else f"{re}{'-' if neg else '+'}{im}i"
+                   for re, im, neg, plain in zip(reals, imags, negative.tolist(), bare)]
+        blocks.append("\n".join(" ".join(entries[r:r + dim])
+                                 for r in range(0, len(entries), dim)))
+    return "\n".join(blocks) + "\n"

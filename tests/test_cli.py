@@ -3,13 +3,14 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dualsim import cli, format_matrix_text, is_unitary, parse_matrix_text
-from dualsim.cli import _write_text, main
+from dualsim.cli import _replacing, _write_text, main
 
 NILPOTENT = np.array([[0, 1], [0, 0]], dtype=complex)
 
@@ -289,6 +290,60 @@ def test_write_replaces_an_existing_file(tmp_path):
     assert out.read_text() == "new\n"
     assert list(tmp_path.iterdir()) == [out]
 
+
+
+def test_exception_after_a_partial_write_keeps_the_old_file_and_no_temporary(tmp_path):
+    out = tmp_path / "kept.csv"
+    out.write_text("old\n")
+    with pytest.raises(RuntimeError, match="midway"):
+        with _replacing(str(out)) as fh:
+            fh.write("new\n" * 100_000)
+            fh.flush()
+            (partial,) = set(tmp_path.iterdir()) - {out}
+            assert partial.stat().st_size == 400_000
+            raise RuntimeError("midway")
+    assert out.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_decompose_failing_between_unitaries_keeps_the_old_file(tmp_path, monkeypatch, capsys):
+    mat_file = tmp_path / "nilpotent.txt"
+    mat_file.write_text(format_matrix_text(NILPOTENT))
+    out = tmp_path / "dec.txt"
+    out.write_text("old\n")
+    calls = []
+
+    def third_call_fails(mat):
+        calls.append(mat)
+        if len(calls) == 3:
+            raise MemoryError("formatting unitary 2")
+        return format_matrix_text(mat)
+
+    monkeypatch.setattr(cli, "format_matrix_text", third_call_fails)
+    assert main(["decompose", "--in", str(mat_file), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: MemoryError: formatting unitary 2\n"
+    assert out.read_text() == "old\n"
+    assert sorted(tmp_path.iterdir()) == [out, mat_file]
+
+
+def test_decompose_keeps_about_one_copy_of_its_report_in_memory(tmp_path, capsys):
+    mat_file = tmp_path / "m.txt"
+    mat_file.write_text(format_matrix_text(
+        np.random.default_rng(256).standard_normal((256, 512)).view(np.complex128)))
+    out = tmp_path / "dec.txt"
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        assert main(["decompose", "--in", str(mat_file), "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    # the report (~11 MB) is written while formatted, so the peak of Python
+    # allocations, input text and decomposition included, stays below twice it
+    assert peak < 2 * out.stat().st_size, (peak, out.stat().st_size)
 
 def test_cli_import_loads_numpy_and_the_stdlib_only():
     # a fresh interpreter, so that modules this test process imported do not count

@@ -20,6 +20,7 @@ from dualsim import (
     random_unitary,
     uniform_state,
 )
+from dualsim import statevec
 from dualsim.statevec import checked_unitary, format_complex_literal
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -259,6 +260,24 @@ def test_matrix_text_reads_as_the_per_entry_literals(entries):
     rows = [" ".join(format_complex_literal(z) for z in row) for row in mat]
     assert format_matrix_text(mat) == "\n".join([str(dim)] + rows) + "\n"
 
+
+
+@pytest.mark.parametrize("block_entries, dim", [(statevec._FORMAT_BLOCK_ENTRIES, 300), (20, 7), (1, 3)])
+def test_matrix_text_in_several_row_blocks(monkeypatch, block_entries, dim):
+    # 300 rows go in blocks of 54, the last one 30 rows long; 7 rows in blocks
+    # of 2, the last one 1 row; and a block smaller than a row still holds one
+    monkeypatch.setattr(statevec, "_FORMAT_BLOCK_ENTRIES", block_entries)
+    rng = np.random.default_rng(dim)
+    pool = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -1e16,
+            1.7976931348623157e308, 1e-5, 123456789012345680.0]
+    parts = np.where(rng.random((2, dim, dim)) < 0.5, rng.choice(pool, (2, dim, dim)),
+                     rng.standard_normal((2, dim, dim)))
+    mat = np.empty((dim, dim), dtype=np.complex128)
+    mat.real, mat.imag = parts  # no arithmetic, so every signed zero stays as drawn
+    text = format_matrix_text(mat)
+    rows = [" ".join(format_complex_literal(z) for z in row) for row in mat]
+    assert text == "\n".join([str(dim)] + rows) + "\n"
+    assert parse_matrix_text(text).tobytes() == mat.tobytes()
 
 def test_checked_unitary_returns_a_frozen_copy_or_names_the_operator():
     h = H.real.tolist()  # a real nested list: coerced to complex128

@@ -5,8 +5,10 @@ dilation, large searches, exact recovery and the matrix text format, in process.
 
 Imports ``dualsim`` from ``--src`` (default: this checkout's ``src``) and
 times each layer with ``time.perf_counter_ns``; a layer's value is the
-median over ``--repeats`` rounds that each time every layer once.  It runs
-on checkouts from bc44509 on, which have ``run_trials``.  Layers:
+median over ``--repeats`` rounds that each time every layer once, in an
+order shuffled for each round by a seeded ``random.Random``, so that no
+layer always runs after the same one.  It runs on checkouts from bc44509 on,
+which have ``run_trials``.  Layers:
 
   seeding.trial_rng_us       one ``trial_rng(seed, t)`` call, over 2000 indices
   seeding.pcg64_states_us    one trial's PCG64 state from ``rand._pcg64_states``,
@@ -48,6 +50,11 @@ on checkouts from bc44509 on, which have ``run_trials``.  Layers:
   recovery.exact_search_n11_ms  ``exact_recovery`` of the n = 11 search gate's circuit
                              (marked 5), which has none
   format.matrix_256_ms       ``format_matrix_text`` of one 256×256 matrix
+  format.matrix_256_peak_mb  the tracemalloc peak of that call, measured once
+                             after the rounds
+  decompose.cli_256_ms       ``main(["decompose", ...])`` of that matrix's text
+                             file, in a new process each round
+  decompose.peak_mb_256      that process's peak RSS (Linux VmHWM)
 
 The record also holds nproc, OPENBLAS_NUM_THREADS, the numpy and Python
 versions, the checkout's git HEAD and whether its tracked files differ from
@@ -65,7 +72,9 @@ import random
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -85,11 +94,15 @@ class ScalarDraws:
 def medians(repeats: int, layers: dict) -> dict:
     """Median over ``repeats`` rounds of each layer's ``run()``, which returns
     (elapsed ns, units); every round runs each layer once, so slow and fast
-    phases of the machine reach all layers alike."""
+    phases of the machine reach all layers alike, and in a shuffled order, so
+    what one layer leaves behind does not always fall on the same next one."""
     samples = {name: [] for name in layers}
+    order = list(layers)
+    shuffle = random.Random(SEED).shuffle
     for _ in range(repeats):
-        for name, run in layers.items():
-            elapsed_ns, units = run()
+        shuffle(order)
+        for name in order:
+            elapsed_ns, units = layers[name]()
             samples[name].append(elapsed_ns / units)
     return {name: statistics.median(values) for name, values in samples.items()}
 
@@ -134,8 +147,22 @@ with open("/proc/self/status", encoding="ascii") as status:
 print(json.dumps({"ns": elapsed, "peak_kb": peak_kb}))
 """
 
+# ``decompose.cli_256_ms``, run as ``python -c DECOMPOSE_RUN SRC IN OUT``: the
+# CLI's own stdout line, then the time of ``main`` and the peak RSS, VmHWM.
+DECOMPOSE_RUN = """
+import json, sys, time
+sys.path.insert(0, sys.argv[1])
+from dualsim.cli import main
+start = time.perf_counter_ns()
+assert main(["decompose", "--in", sys.argv[2], "--out", sys.argv[3]]) == 0
+elapsed = time.perf_counter_ns() - start
+with open("/proc/self/status", encoding="ascii") as status:
+    peak_kb = int(next(line for line in status if line.startswith("VmHWM:")).split()[1])
+print(json.dumps({"ns": elapsed, "peak_kb": peak_kb}))
+"""
 
-def measure(src: Path, repeats: int) -> dict:
+
+def measure(src: Path, workdir: Path, repeats: int) -> dict:
     import numpy as np
 
     from dualsim import (Custom, DualityGate, ExactUnitary, Reset, SearchProblem, basis_state,
@@ -184,13 +211,14 @@ def measure(src: Path, repeats: int) -> dict:
     never_hit = DualityGate(np.array([0.5, 0.5]), (eye, -eye))
     drift = Custom(np.exp(0.3j) * eye)
 
-    drift_peaks_mb = []
+    peaks_mb = {"trial.exhausted_drift_peak_mb": [], "decompose.peak_mb_256": []}
 
-    def drifting_trial():
-        child = subprocess.run([sys.executable, "-c", DRIFT_TRIAL, str(src), str(SEED)],
-                               capture_output=True, text=True, check=True)
-        result = json.loads(child.stdout)
-        drift_peaks_mb.append(result["peak_kb"] / 1024)
+    def child_run(peak_name, *argv):
+        """(ns, 1) from the last stdout line of ``python -c argv``; its peak goes to ``peak_name``."""
+        child = subprocess.run([sys.executable, "-c", *argv], capture_output=True, text=True,
+                               check=True)
+        result = json.loads(child.stdout.splitlines()[-1])
+        peaks_mb[peak_name].append(result["peak_kb"] / 1024)
         return result["ns"], 1
 
     zero = basis_state(4, 0)
@@ -224,6 +252,8 @@ def measure(src: Path, repeats: int) -> dict:
 
     search_circuit11 = build_dilation(search_gate(SearchProblem(11, frozenset({5}))))
     matrix256 = np.random.default_rng(SEED).standard_normal((256, 512)).view(np.complex128)
+    matrix256_file = workdir / "matrix256.txt"
+    matrix256_file.write_text(format_matrix_text(matrix256), encoding="utf-8")
 
     layers = {"seeding.trial_rng_us": seeding_single,
               "seeding.pcg64_states_us": seeding_blocked,
@@ -233,7 +263,8 @@ def measure(src: Path, repeats: int) -> dict:
                                                       exact_strategy, 128),
               "trial.exhausted_1e6_ms": exhausted_trial,
               "trial.exhausted_wide_ms": exhausted_wide,
-              "trial.exhausted_drift_ms": drifting_trial,
+              "trial.exhausted_drift_ms": lambda: child_run(
+                  "trial.exhausted_drift_peak_mb", DRIFT_TRIAL, str(src), str(SEED)),
               "trial.drift_wide_ms": drift_wide,
               "circuit.gate_n8_ms": lambda: timed(lambda: build_dilation(duality_gate_of(*blocks[8]))),
               "circuit.gate_n10_ms": lambda: timed(lambda: build_dilation(duality_gate_of(*blocks[10]))),
@@ -241,10 +272,17 @@ def measure(src: Path, repeats: int) -> dict:
               "search.experiment_n16_ms": lambda: search_experiment(16),
               "search.experiment_n20_ms": lambda: search_experiment(20),
               "recovery.exact_search_n11_ms": lambda: timed(lambda: exact_recovery(search_circuit11)),
-              "format.matrix_256_ms": lambda: timed(lambda: format_matrix_text(matrix256))}
+              "format.matrix_256_ms": lambda: timed(lambda: format_matrix_text(matrix256)),
+              "decompose.cli_256_ms": lambda: child_run(
+                  "decompose.peak_mb_256", DECOMPOSE_RUN, str(src), str(matrix256_file),
+                  str(workdir / "decomposition.txt"))}
     values = {name: value / (1e6 if name.endswith("_ms") else 1e3)
               for name, value in medians(repeats, layers).items()}
-    values["trial.exhausted_drift_peak_mb"] = statistics.median(drift_peaks_mb)
+    values.update((name, statistics.median(peaks)) for name, peaks in peaks_mb.items())
+    tracemalloc.start()
+    format_matrix_text(matrix256)
+    values["format.matrix_256_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
+    tracemalloc.stop()
     return values
 
 
@@ -270,8 +308,10 @@ def main() -> int:
     sys.path.insert(0, str(src))
     import numpy as np
 
+    with tempfile.TemporaryDirectory() as workdir:
+        layers = measure(src, Path(workdir), args.repeats)
     record = {
-        "layers": measure(src, args.repeats),
+        "layers": layers,
         "repeats": args.repeats,
         "environment": {
             "nproc": os.cpu_count(),
